@@ -1,8 +1,8 @@
 #include "ewald/charge_assignment.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "spline/bspline.hpp"
@@ -14,17 +14,17 @@ namespace tme {
 namespace {
 
 // Accumulate one x-line of the P×P×P stencil into the grid:
-//   grid_row[wrap(mx0 + k)] = fma(qyz, wx[k], grid_row[wrap(mx0 + k)]).
-// When the x-window stays inside [0, nx) the stores are contiguous and run W
-// elements at a time; the wrapped fallback applies the identical per-element
-// fma, so both paths — and both W instantiations — are bitwise interchangeable.
+//   row[ix[k]] = fma(qyz, wx[k], row[ix[k]]).
+// When the support's stored positions ix are consecutive the stores are
+// contiguous and run W elements at a time; the scattered fallback applies the
+// identical per-element fma, so both paths — and both W instantiations — are
+// bitwise interchangeable.
 template <int W>
-void spread_line(double* grid_row, long mx0, std::size_t nx, int p, double qyz,
+void spread_line(double* row, const std::size_t* ix, int p, double qyz,
                  const double* wx) {
   using V = simd::vec<double, W>;
-  const std::size_t ix0 = Grid3d::wrap(mx0, nx);
-  if (ix0 + static_cast<std::size_t>(p) <= nx) {
-    double* g = grid_row + ix0;
+  if (ix[p - 1] == ix[0] + static_cast<std::size_t>(p - 1)) {
+    double* g = row + ix[0];
     const V qv = V::broadcast(qyz);
     int k = 0;
     for (; k + W <= p; k += W) {
@@ -37,7 +37,7 @@ void spread_line(double* grid_row, long mx0, std::size_t nx, int p, double qyz,
     }
   } else {
     for (int k = 0; k < p; ++k) {
-      double& cell = grid_row[Grid3d::wrap(mx0 + k, nx)];
+      double& cell = row[ix[k]];
       cell = simd::fma1(qyz, wx[k], cell);
     }
   }
@@ -70,18 +70,37 @@ void gather_line(const double* pm, const double* wx, const double* dx, int p,
   line_d = acc_d.reduce_add();
 }
 
-// Wrapped fallback for gather_line — same fma chain as the W = 1 path.
-void gather_line_wrapped(const double* row, long mx0, std::size_t nx,
-                         const double* wx, const double* dx, int p,
-                         double& line_v, double& line_d) {
-  double acc_v = 0.0, acc_d = 0.0;
+// Stored positions of the p support cells base .. base + p - 1 along one
+// axis.  Periodic maps always resolve; a block map fails when the support
+// leaves the block's sleeve.
+void support(const AxisMap& map, long base, int p, std::size_t* ix) {
   for (int k = 0; k < p; ++k) {
-    const double pm = row[Grid3d::wrap(mx0 + k, nx)];
-    acc_v = simd::fma1(pm, wx[k], acc_v);
-    acc_d = simd::fma1(pm, dx[k], acc_d);
+    ix[k] = map(base + k);
+    if (ix[k] == AxisMap::kOutside) {
+      throw std::logic_error("CA/BI: atom support exceeds sleeve");
+    }
   }
-  line_v = acc_v;
-  line_d = acc_d;
+}
+
+void check_atoms(const char* what, std::span<const Vec3> positions,
+                 std::span<const double> charges, const std::vector<Vec3>* forces) {
+  if (positions.size() != charges.size()) {
+    throw std::invalid_argument(std::string(what) + ": size mismatch");
+  }
+  if (forces != nullptr && forces->size() != positions.size()) {
+    throw std::invalid_argument(std::string(what) + ": forces size");
+  }
+}
+
+// Particle batches for `pool`: one per participating thread (one inside a
+// parallel region), capped to bound CA's scratch-grid memory on wide
+// machines.  Batches run in parallel and reduce in fixed batch order, so a
+// given pool size reproduces the same bits.
+std::size_t batch_count(ThreadPool& pool, std::size_t n) {
+  constexpr std::size_t kMaxBatches = 16;
+  return std::min<std::size_t>(
+      {ThreadPool::in_parallel_region() ? std::size_t{1} : pool.concurrency(),
+       std::max<std::size_t>(n, 1), kMaxBatches});
 }
 
 }  // namespace
@@ -95,64 +114,115 @@ ChargeAssigner::ChargeAssigner(const Box& box, GridDims dims, int order)
         box.lengths.z / static_cast<double>(dims.nz)};
 }
 
-void ChargeAssigner::spread_range(Grid3d& grid, std::span<const Vec3> positions,
+void ChargeAssigner::spread_range(double* grid, const AxisMaps& maps,
+                                  std::span<const Vec3> positions,
                                   std::span<const double> charges,
                                   std::size_t first, std::size_t last) const {
   const int p = p_;
+  const std::size_t up = static_cast<std::size_t>(p);
   const int width = simd::lanes(simd_mode_);
-  double* gdata = grid.data();
-  std::vector<double> wx(static_cast<std::size_t>(p)), wy(wx), wz(wx);
+  const std::size_t nx = maps[0].extent, ny = maps[1].extent;
+  std::vector<double> wx(up), wy(wx), wz(wx);
+  std::vector<std::size_t> ix(up), iy(up), iz(up);
   for (std::size_t i = first; i < last; ++i) {
     const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-    const long mx0 = bspline_weights_central(p, u.x, wx, {});
-    const long my0 = bspline_weights_central(p, u.y, wy, {});
-    const long mz0 = bspline_weights_central(p, u.z, wz, {});
+    support(maps[0], bspline_weights_central(p, u.x, wx, {}), p, ix.data());
+    support(maps[1], bspline_weights_central(p, u.y, wy, {}), p, iy.data());
+    support(maps[2], bspline_weights_central(p, u.z, wz, {}), p, iz.data());
     const double q = charges[i];
-    for (int kz = 0; kz < p; ++kz) {
-      const double qz = q * wz[static_cast<std::size_t>(kz)];
-      const std::size_t iz = Grid3d::wrap(mz0 + kz, dims_.nz);
-      for (int ky = 0; ky < p; ++ky) {
-        const double qyz = qz * wy[static_cast<std::size_t>(ky)];
-        const std::size_t iy = Grid3d::wrap(my0 + ky, dims_.ny);
-        double* row = gdata + (iz * dims_.ny + iy) * dims_.nx;
+    for (std::size_t kz = 0; kz < up; ++kz) {
+      const double qz = q * wz[kz];
+      for (std::size_t ky = 0; ky < up; ++ky) {
+        const double qyz = qz * wy[ky];
+        double* row = grid + (iz[kz] * ny + iy[ky]) * nx;
         if (width > 1) {
-          spread_line<simd::kNativeWidth>(row, mx0, dims_.nx, p, qyz, wx.data());
+          spread_line<simd::kNativeWidth>(row, ix.data(), p, qyz, wx.data());
         } else {
-          spread_line<1>(row, mx0, dims_.nx, p, qyz, wx.data());
+          spread_line<1>(row, ix.data(), p, qyz, wx.data());
         }
       }
     }
   }
 }
 
+double ChargeAssigner::gather_range(const double* grid, const AxisMaps& maps,
+                                    std::span<const Vec3> positions,
+                                    std::span<const double> charges,
+                                    std::size_t first, std::size_t last,
+                                    std::vector<Vec3>* forces,
+                                    std::vector<double>* phi_out) const {
+  const int p = p_;
+  const std::size_t up = static_cast<std::size_t>(p);
+  const int width = simd::lanes(simd_mode_);
+  const std::size_t nx = maps[0].extent, ny = maps[1].extent;
+  std::vector<double> wx(up), wy(wx), wz(wx);
+  std::vector<double> dx(wx), dy(wx), dz(wx), line(wx);
+  std::vector<std::size_t> ix(up), iy(up), iz(up);
+  double sum = 0.0;
+  for (std::size_t i = first; i < last; ++i) {
+    const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
+    support(maps[0], bspline_weights_central(p, u.x, wx, dx), p, ix.data());
+    support(maps[1], bspline_weights_central(p, u.y, wy, dy), p, iy.data());
+    support(maps[2], bspline_weights_central(p, u.z, wz, dz), p, iz.data());
+    double phi = 0.0;
+    Vec3 grad{};  // d phi / d u (grid units)
+    const bool contiguous = ix[up - 1] == ix[0] + up - 1;
+    for (std::size_t kz = 0; kz < up; ++kz) {
+      const double vz = wz[kz];
+      const double gz = dz[kz];
+      for (std::size_t ky = 0; ky < up; ++ky) {
+        const double vy = wy[ky];
+        const double gy = dy[ky];
+        const double* row = grid + (iz[kz] * ny + iy[ky]) * nx;
+        double line_v = 0.0, line_d = 0.0;
+        if (!contiguous) {
+          // A support split in storage: one scalar fma chain over a copy.
+          for (std::size_t k = 0; k < up; ++k) line[k] = row[ix[k]];
+          gather_line<1>(line.data(), wx.data(), dx.data(), p, line_v, line_d);
+        } else if (width > 1) {
+          gather_line<simd::kNativeWidth>(row + ix[0], wx.data(), dx.data(), p,
+                                          line_v, line_d);
+        } else {
+          gather_line<1>(row + ix[0], wx.data(), dx.data(), p, line_v, line_d);
+        }
+        phi += line_v * vy * vz;
+        grad.x += line_d * vy * vz;
+        grad.y += line_v * gy * vz;
+        grad.z += line_v * vy * gz;
+      }
+    }
+    if (phi_out != nullptr) (*phi_out)[i] = phi;
+    sum += charges[i] * phi;
+    if (forces != nullptr) {
+      const double q = charges[i];
+      (*forces)[i] += {-q * grad.x / h_.x, -q * grad.y / h_.y, -q * grad.z / h_.z};
+    }
+  }
+  return sum;
+}
+
 Grid3d ChargeAssigner::assign(std::span<const Vec3> positions,
                               std::span<const double> charges,
                               ThreadPool* pool_ptr) const {
-  if (positions.size() != charges.size()) {
-    throw std::invalid_argument("ChargeAssigner::assign: size mismatch");
-  }
+  check_atoms("ChargeAssigner::assign", positions, charges, nullptr);
   TME_COUNTER_ADD("charge_assignment/assign_calls", 1);
   Grid3d grid(dims_);
   const std::size_t n = positions.size();
   ThreadPool& pool = pool_ptr != nullptr ? *pool_ptr : global_pool();
   // The hardware accumulates through the global memory's atomic-add write
   // mode; in software each batch scatters into a private scratch grid and
-  // the grids are summed point-wise in fixed batch order (deterministic per
-  // pool size).  The scratch count is capped to bound the extra memory on
-  // wide machines.
-  constexpr std::size_t kMaxScratchGrids = 16;
-  const std::size_t nb = std::min<std::size_t>(
-      {ThreadPool::in_parallel_region() ? std::size_t{1} : pool.concurrency(),
-       std::max<std::size_t>(n, 1), kMaxScratchGrids});
+  // the grids are summed point-wise in fixed batch order.
+  const std::size_t nb = batch_count(pool, n);
+  const AxisMaps maps = periodic_maps(dims_);
   if (nb <= 1) {
-    spread_range(grid, positions, charges, 0, n);
+    spread_range(grid.data(), maps, positions, charges, 0, n);
     return grid;
   }
   const std::size_t chunk = (n + nb - 1) / nb;
   std::vector<Grid3d> scratch(nb);
   parallel_for(pool, 0, nb, [&](std::size_t b) {
     scratch[b] = Grid3d(dims_);
-    spread_range(scratch[b], positions, charges, b * chunk,
+    spread_range(scratch[b].data(), maps, positions, charges, b * chunk,
                  std::min(b * chunk + chunk, n));
   });
   parallel_for(pool, 0, grid.size(), [&](std::size_t g) {
@@ -171,68 +241,40 @@ double ChargeAssigner::back_interpolate(const Grid3d& potential,
   if (!(potential.dims() == dims_)) {
     throw std::invalid_argument("ChargeAssigner::back_interpolate: grid mismatch");
   }
-  if (positions.size() != charges.size()) {
-    throw std::invalid_argument("ChargeAssigner::back_interpolate: size mismatch");
-  }
-  if (forces != nullptr && forces->size() != positions.size()) {
-    throw std::invalid_argument("ChargeAssigner::back_interpolate: forces size");
-  }
+  check_atoms("ChargeAssigner::back_interpolate", positions, charges, forces);
   if (phi_out != nullptr) phi_out->assign(positions.size(), 0.0);
 
-  const int p = p_;
-  const int width = simd::lanes(simd_mode_);
-  const double* pdata = potential.data();
-  std::mutex sum_mutex;
-  double total = 0.0;
-  parallel_for_ranges(0, positions.size(), [&](std::size_t begin, std::size_t end) {
-    std::vector<double> wx(static_cast<std::size_t>(p)), wy(wx), wz(wx);
-    std::vector<double> dx(wx), dy(wx), dz(wx);
-    double local_sum = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-      const long mx0 = bspline_weights_central(p, u.x, wx, dx);
-      const long my0 = bspline_weights_central(p, u.y, wy, dy);
-      const long mz0 = bspline_weights_central(p, u.z, wz, dz);
-      double phi = 0.0;
-      Vec3 grad{};  // d phi / d u (grid units)
-      const std::size_t ix0 = Grid3d::wrap(mx0, dims_.nx);
-      const bool contiguous = ix0 + static_cast<std::size_t>(p) <= dims_.nx;
-      for (int kz = 0; kz < p; ++kz) {
-        const std::size_t iz = Grid3d::wrap(mz0 + kz, dims_.nz);
-        const double vz = wz[static_cast<std::size_t>(kz)];
-        const double gz = dz[static_cast<std::size_t>(kz)];
-        for (int ky = 0; ky < p; ++ky) {
-          const std::size_t iy = Grid3d::wrap(my0 + ky, dims_.ny);
-          const double vy = wy[static_cast<std::size_t>(ky)];
-          const double gy = dy[static_cast<std::size_t>(ky)];
-          const double* row = pdata + (iz * dims_.ny + iy) * dims_.nx;
-          double line_v = 0.0, line_d = 0.0;
-          if (!contiguous) {
-            gather_line_wrapped(row, mx0, dims_.nx, wx.data(), dx.data(), p,
-                                line_v, line_d);
-          } else if (width > 1) {
-            gather_line<simd::kNativeWidth>(row + ix0, wx.data(), dx.data(), p,
-                                            line_v, line_d);
-          } else {
-            gather_line<1>(row + ix0, wx.data(), dx.data(), p, line_v, line_d);
-          }
-          phi += line_v * vy * vz;
-          grad.x += line_d * vy * vz;
-          grad.y += line_v * gy * vz;
-          grad.z += line_v * vy * gz;
-        }
-      }
-      if (phi_out != nullptr) (*phi_out)[i] = phi;
-      local_sum += charges[i] * phi;
-      if (forces != nullptr) {
-        const double q = charges[i];
-        (*forces)[i] += {-q * grad.x / h_.x, -q * grad.y / h_.y, -q * grad.z / h_.z};
-      }
-    }
-    const std::lock_guard lock(sum_mutex);
-    total += local_sum;
+  // One energy partial per batch, summed in batch order.
+  ThreadPool& pool = global_pool();
+  const std::size_t n = positions.size();
+  const std::size_t nb = batch_count(pool, n);
+  const std::size_t chunk = (n + nb - 1) / nb;
+  const AxisMaps maps = periodic_maps(dims_);
+  std::vector<double> partial(nb, 0.0);
+  parallel_for(pool, 0, nb, [&](std::size_t b) {
+    partial[b] = gather_range(potential.data(), maps, positions, charges,
+                              std::min(b * chunk, n), std::min(b * chunk + chunk, n),
+                              forces, phi_out);
   });
+  double total = 0.0;
+  for (const double s : partial) total += s;
   return total;
+}
+
+void ChargeAssigner::assign_block(ExtendedBlock& block, std::span<const Vec3> positions,
+                                  std::span<const double> charges) const {
+  check_atoms("ChargeAssigner::assign_block", positions, charges, nullptr);
+  spread_range(block.data.data(), block.maps(dims_), positions, charges, 0,
+               positions.size());
+}
+
+double ChargeAssigner::back_interpolate_block(const ExtendedBlock& block,
+                                              std::span<const Vec3> positions,
+                                              std::span<const double> charges,
+                                              std::vector<Vec3>* forces) const {
+  check_atoms("ChargeAssigner::back_interpolate_block", positions, charges, forces);
+  return gather_range(block.data.data(), block.maps(dims_), positions, charges, 0,
+                      positions.size(), forces, nullptr);
 }
 
 }  // namespace tme

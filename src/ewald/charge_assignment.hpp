@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "grid/block.hpp"
 #include "grid/grid3d.hpp"
 #include "util/simd.hpp"
 #include "util/vec3.hpp"
@@ -48,17 +49,37 @@ class ChargeAssigner {
   // Back interpolation: per-atom potential phi_i = sum_m Phi_m M_p(u_i - m)
   // and (if forces != nullptr) the accumulated force
   //   forces[i] += -charges[i] * grad phi(r_i).
-  // Returns sum_i q_i phi_i (twice the interaction energy).
+  // Returns sum_i q_i phi_i (twice the interaction energy), summed from
+  // per-batch partials in batch order (reproducible for a given pool size).
   double back_interpolate(const Grid3d& potential, std::span<const Vec3> positions,
                           std::span<const double> charges,
                           std::vector<Vec3>* forces,
                           std::vector<double>* phi_out = nullptr) const;
 
+  // Block forms for one node's atoms (pool-free): spread into, or
+  // interpolate from, a halo block of this assigner's grid instead of the
+  // whole periodic grid.  Per atom they run the same kernels as assign and
+  // back_interpolate.  Throw std::logic_error when an atom's spline support
+  // leaves the block.
+  void assign_block(ExtendedBlock& block, std::span<const Vec3> positions,
+                    std::span<const double> charges) const;
+  double back_interpolate_block(const ExtendedBlock& block,
+                                std::span<const Vec3> positions,
+                                std::span<const double> charges,
+                                std::vector<Vec3>* forces) const;
+
  private:
-  // Serial scatter of particles [first, last) into `grid` (accumulating).
-  void spread_range(Grid3d& grid, std::span<const Vec3> positions,
-                    std::span<const double> charges, std::size_t first,
-                    std::size_t last) const;
+  // The pool-free bodies: scatter particles [first, last) into `grid`
+  // (accumulating), or gather their potentials and forces from it, with
+  // `grid` laid out by `maps`.
+  void spread_range(double* grid, const AxisMaps& maps,
+                    std::span<const Vec3> positions, std::span<const double> charges,
+                    std::size_t first, std::size_t last) const;
+  double gather_range(const double* grid, const AxisMaps& maps,
+                      std::span<const Vec3> positions,
+                      std::span<const double> charges, std::size_t first,
+                      std::size_t last, std::vector<Vec3>* forces,
+                      std::vector<double>* phi_out) const;
 
   Box box_;
   GridDims dims_;

@@ -1,7 +1,7 @@
 #include "grid/separable_conv.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/parallel.hpp"
 
@@ -15,73 +15,54 @@ void check_kernel(const Kernel1d& k) {
   }
 }
 
-// One x-axis line of outputs.  Interior columns n in [c, nx - c) read
-// contiguous source windows src[n + c - t] and run W outputs at a time; the
-// wrapped boundary columns replay the identical per-element fma chain over
-// the taps, so every output is bitwise invariant under W.
-template <int W>
-void conv_line_x(const double* src, double* dst, std::size_t nx,
-                 const double* taps, std::size_t ntaps, std::size_t c,
-                 const std::size_t* wrapped) {
-  using V = simd::vec<double, W>;
-  auto scalar_out = [&](std::size_t n) {
-    const std::size_t* wrap_row = wrapped + n * ntaps;
-    double acc = 0.0;
-    for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = simd::fma1(taps[t], src[wrap_row[t]], acc);
-    }
-    dst[n] = acc;
-  };
-  const std::size_t lo = std::min(c, nx);
-  const std::size_t hi = nx >= 2 * c ? nx - c : lo;
-  for (std::size_t n = 0; n < lo; ++n) scalar_out(n);
-  std::size_t n = lo;
-  for (; n + W <= hi; n += W) {
-    V acc = V::zero();
-    for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = V::fma(V::broadcast(taps[t]), V::load(src + n + c - t), acc);
-    }
-    acc.store(dst + n);
-  }
-  if (n < hi) {
-    const int tail = static_cast<int>(hi - n);
-    V acc = V::zero();
-    for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = V::fma(V::broadcast(taps[t]),
-                   V::load_partial(src + n + c - t, tail), acc);
-    }
-    acc.store_partial(dst + n, tail);
-    n = hi;
-  }
-  for (; n < nx; ++n) scalar_out(n);
+// Convolution along one axis: output n (global index origin + n) reads
+// source cell origin + n - m with tap k[m], t = m + cutoff.
+AxisStencil conv_stencil(const AxisMap& src, long origin, std::size_t n_out,
+                         const Kernel1d& k) {
+  return build_stencil(src, n_out, k.taps.size(), [&](std::size_t n, std::size_t t) {
+    const long m = static_cast<long>(t) - k.cutoff;
+    return std::pair{origin + static_cast<long>(n) - m, k.taps[t]};
+  });
 }
 
-// One y- or z-axis output row: every tap reads the contiguous x-row at
-// src[wrap_row[t] * stride + row_off + ix], so the whole row vectorizes
-// across ix with the per-element tap order unchanged.
-template <int W>
-void conv_strided_row(const double* src, const std::size_t* wrap_row,
-                      std::size_t stride, std::size_t row_off, double* dst_row,
-                      std::size_t nx, const double* taps, std::size_t ntaps) {
-  using V = simd::vec<double, W>;
-  std::size_t ix = 0;
-  for (; ix + W <= nx; ix += W) {
-    V acc = V::zero();
-    for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = V::fma(V::broadcast(taps[t]),
-                   V::load(src + wrap_row[t] * stride + row_off + ix), acc);
-    }
-    acc.store(dst_row + ix);
+// The dense 3D loop onto `out` at global origin `origin` from `src` laid out
+// by `maps`; pool == nullptr runs inline on the caller.
+void dense3d(const double* src, const GridDims& sd, const AxisMaps& maps,
+             const long (&origin)[3], const std::vector<double>& taps3d, int cutoff,
+             Grid3d& out, ThreadPool* pool) {
+  const std::size_t width = static_cast<std::size_t>(2 * cutoff + 1);
+  if (taps3d.size() != width * width * width) {
+    throw std::invalid_argument("convolve_dense3d: taps size must be (2c+1)^3");
   }
-  if (ix < nx) {
-    const int tail = static_cast<int>(nx - ix);
-    V acc = V::zero();
-    for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = V::fma(V::broadcast(taps[t]),
-                   V::load_partial(src + wrap_row[t] * stride + row_off + ix, tail),
-                   acc);
+  const Kernel1d unit{cutoff, std::vector<double>(width, 1.0)};
+  const GridDims& d = out.dims();
+  const AxisStencil sx = conv_stencil(maps[0], origin[0], d.nx, unit);
+  const AxisStencil sy = conv_stencil(maps[1], origin[1], d.ny, unit);
+  const AxisStencil sz = conv_stencil(maps[2], origin[2], d.nz, unit);
+  auto planes = [&](std::size_t first, std::size_t last) {
+    for (std::size_t iz = first; iz < last; ++iz) {
+      for (std::size_t iy = 0; iy < d.ny; ++iy) {
+        for (std::size_t ix = 0; ix < d.nx; ++ix) {
+          double acc = 0.0;
+          std::size_t tap = 0;
+          for (std::size_t tz = 0; tz < width; ++tz) {
+            for (std::size_t ty = 0; ty < width; ++ty) {
+              const double* row = src + (sz.index[iz * width + tz] * sd.ny +
+                                         sy.index[iy * width + ty]) * sd.nx;
+              for (std::size_t tx = 0; tx < width; ++tx) {
+                acc += taps3d[tap++] * row[sx.index[ix * width + tx]];
+              }
+            }
+          }
+          out.at(ix, iy, iz) = acc;
+        }
+      }
     }
-    acc.store_partial(dst_row + ix, tail);
+  };
+  if (pool == nullptr) {
+    planes(0, d.nz);
+  } else {
+    parallel_for(*pool, 0, d.nz, [&](std::size_t iz) { planes(iz, iz + 1); });
   }
 }
 
@@ -99,83 +80,36 @@ void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
     throw std::invalid_argument("convolve_axis: dimension mismatch");
   }
   if (&in == &out) throw std::invalid_argument("convolve_axis: in-place not supported");
-  const auto [nx, ny, nz] = in.dims();
-  const int c = kernel.cutoff;
-  const long n_axis = static_cast<long>(axis == ConvAxis::kX   ? nx
-                                        : axis == ConvAxis::kY ? ny
-                                                               : nz);
-  if (2 * c + 1 > 2 * n_axis) {
+  const int a = static_cast<int>(axis);
+  const GridDims& d = in.dims();
+  const std::size_t n_axis = a == 0 ? d.nx : a == 1 ? d.ny : d.nz;
+  if (2 * static_cast<std::size_t>(kernel.cutoff) + 1 > 2 * n_axis) {
     // Kernels wider than the periodic domain would double-count images in a
     // way the truncated hardware kernel never does; reject loudly.
     throw std::invalid_argument("convolve_axis: kernel cutoff exceeds grid period");
   }
+  axis_pass(in.data(), d, out.data(), d, a,
+            conv_stencil(periodic_maps(d)[a], 0, n_axis, kernel), mode, &global_pool());
+}
 
-  // Precompute wrapped source offsets for each output index along the axis.
-  // wrapped[n * (2c+1) + (m+c)] = (n - m) mod n_axis.
-  std::vector<std::size_t> wrapped(static_cast<std::size_t>(n_axis) *
-                                   static_cast<std::size_t>(2 * c + 1));
-  for (long n = 0; n < n_axis; ++n) {
-    for (int m = -c; m <= c; ++m) {
-      wrapped[static_cast<std::size_t>(n) * (2 * c + 1) +
-              static_cast<std::size_t>(m + c)] =
-          Grid3d::wrap(n - m, static_cast<std::size_t>(n_axis));
+Grid3d convolve_axis_block(const ExtendedBlock& halo, long ox, long oy, long oz,
+                           const GridDims& out_dims, const Kernel1d& kernel,
+                           ConvAxis axis) {
+  check_kernel(kernel);
+  const AxisMaps maps = halo.maps();
+  const int a = static_cast<int>(axis);
+  const long origin[3] = {ox, oy, oz};
+  const std::size_t extent[3] = {out_dims.nx, out_dims.ny, out_dims.nz};
+  for (int b = 0; b < 3; ++b) {
+    if (b != a && (maps[b].origin != origin[b] || maps[b].extent != extent[b])) {
+      throw std::invalid_argument("convolve_axis_block: halo must match the block off-axis");
     }
   }
-
-  const double* src = in.data();
-  double* dst = out.data();
-  const double* tap = kernel.taps.data();
-  const std::size_t taps = static_cast<std::size_t>(2 * c + 1);
-  const std::size_t uc = static_cast<std::size_t>(c);
-  const bool native = mode == simd::Mode::kNative;
-
-  switch (axis) {
-    case ConvAxis::kX:
-      parallel_for(0, ny * nz, [&](std::size_t line) {
-        const std::size_t base = line * nx;
-        if (native) {
-          conv_line_x<simd::kNativeWidth>(src + base, dst + base, nx, tap, taps,
-                                          uc, wrapped.data());
-        } else {
-          conv_line_x<1>(src + base, dst + base, nx, tap, taps, uc,
-                         wrapped.data());
-        }
-      });
-      break;
-    case ConvAxis::kY:
-      parallel_for(0, nz, [&](std::size_t iz) {
-        const std::size_t plane = iz * ny * nx;
-        for (std::size_t n = 0; n < ny; ++n) {
-          const std::size_t* wrap_row = wrapped.data() + n * taps;
-          if (native) {
-            conv_strided_row<simd::kNativeWidth>(src + plane, wrap_row, nx, 0,
-                                                 dst + plane + n * nx, nx, tap,
-                                                 taps);
-          } else {
-            conv_strided_row<1>(src + plane, wrap_row, nx, 0,
-                                dst + plane + n * nx, nx, tap, taps);
-          }
-        }
-      });
-      break;
-    case ConvAxis::kZ: {
-      const std::size_t plane = ny * nx;
-      parallel_for(0, ny, [&](std::size_t iy) {
-        for (std::size_t n = 0; n < nz; ++n) {
-          const std::size_t* wrap_row = wrapped.data() + n * taps;
-          if (native) {
-            conv_strided_row<simd::kNativeWidth>(src, wrap_row, plane, iy * nx,
-                                                 dst + n * plane + iy * nx, nx,
-                                                 tap, taps);
-          } else {
-            conv_strided_row<1>(src, wrap_row, plane, iy * nx,
-                                dst + n * plane + iy * nx, nx, tap, taps);
-          }
-        }
-      });
-      break;
-    }
-  }
+  Grid3d out(out_dims);
+  axis_pass(halo.data.data(), halo.dims(), out.data(), out_dims, a,
+            conv_stencil(maps[a], origin[a], extent[a], kernel), simd::mode_from_env(),
+            nullptr);
+  return out;
 }
 
 Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,
@@ -188,51 +122,39 @@ Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,
   return tmp1;
 }
 
+void axpy(double scale, const Grid3d& x, Grid3d& y) {
+  if (!(x.dims() == y.dims())) throw std::invalid_argument("axpy: dimension mismatch");
+  const double* src = x.data();
+  double* dst = y.data();
+  for (std::size_t i = 0; i < y.size(); ++i) dst[i] += scale * src[i];
+}
+
 void convolve_tensor(const Grid3d& in, const std::vector<SeparableTerm>& terms,
                      double scale, Grid3d& out) {
   if (!(in.dims() == out.dims())) {
     throw std::invalid_argument("convolve_tensor: dimension mismatch");
   }
   for (const SeparableTerm& term : terms) {
-    const Grid3d contribution = convolve_separable(in, term.kx, term.ky, term.kz);
-    const double* src = contribution.data();
-    double* dst = out.data();
-    for (std::size_t i = 0; i < out.size(); ++i) dst[i] += scale * src[i];
+    axpy(scale, convolve_separable(in, term.kx, term.ky, term.kz), out);
   }
 }
 
 void convolve_dense3d(const Grid3d& in, const std::vector<double>& taps3d,
                       int cutoff, Grid3d& out) {
-  const std::size_t width = static_cast<std::size_t>(2 * cutoff + 1);
-  if (taps3d.size() != width * width * width) {
-    throw std::invalid_argument("convolve_dense3d: taps size must be (2c+1)^3");
-  }
   if (!(in.dims() == out.dims())) {
     throw std::invalid_argument("convolve_dense3d: dimension mismatch");
   }
-  const auto [nx, ny, nz] = in.dims();
-  parallel_for(0, nz, [&](std::size_t izs) {
-    const long iz = static_cast<long>(izs);
-    for (long iy = 0; iy < static_cast<long>(ny); ++iy) {
-      for (long ix = 0; ix < static_cast<long>(nx); ++ix) {
-        double acc = 0.0;
-        for (int mz = -cutoff; mz <= cutoff; ++mz) {
-          for (int my = -cutoff; my <= cutoff; ++my) {
-            for (int mx = -cutoff; mx <= cutoff; ++mx) {
-              const double tap =
-                  taps3d[(static_cast<std::size_t>(mz + cutoff) * width +
-                          static_cast<std::size_t>(my + cutoff)) *
-                             width +
-                         static_cast<std::size_t>(mx + cutoff)];
-              acc += tap * in.at_wrapped(ix - mx, iy - my, iz - mz);
-            }
-          }
-        }
-        out.at(static_cast<std::size_t>(ix), static_cast<std::size_t>(iy),
-               static_cast<std::size_t>(izs)) = acc;
-      }
-    }
-  });
+  dense3d(in.data(), in.dims(), periodic_maps(in.dims()), {0, 0, 0}, taps3d, cutoff,
+          out, &global_pool());
+}
+
+Grid3d convolve_dense3d_block(const ExtendedBlock& halo, long ox, long oy, long oz,
+                              const GridDims& out_dims,
+                              const std::vector<double>& taps3d, int cutoff) {
+  Grid3d out(out_dims);
+  dense3d(halo.data.data(), halo.dims(), halo.maps(), {ox, oy, oz}, taps3d, cutoff, out,
+          nullptr);
+  return out;
 }
 
 }  // namespace tme

@@ -1,5 +1,6 @@
 #include "grid/transfer.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "spline/two_scale.hpp"
@@ -9,96 +10,76 @@ namespace tme {
 
 namespace {
 
-// Restriction along one axis: out has the axis halved.
-// out[m] = sum_{|k| <= p/2} J_k in[2m + k]  (periodic in `in`).
-void restrict_axis(const Grid3d& in, const std::vector<double>& j, int half_p,
-                   int axis, Grid3d& out) {
-  const auto [nx, ny, nz] = in.dims();
-  const auto [ox, oy, oz] = out.dims();
-  parallel_for(0, oz, [&, nx = nx, ny = ny, nz = nz, ox = ox, oy = oy](std::size_t mz) {
-    (void)ny;
-    for (std::size_t my = 0; my < oy; ++my) {
-      for (std::size_t mx = 0; mx < ox; ++mx) {
-        double acc = 0.0;
-        for (int k = -half_p; k <= half_p; ++k) {
-          const double w = j[static_cast<std::size_t>(k + half_p)];
-          long ix = static_cast<long>(mx), iy = static_cast<long>(my),
-               iz = static_cast<long>(mz);
-          switch (axis) {
-            case 0: ix = 2 * ix + k; break;
-            case 1: iy = 2 * iy + k; break;
-            default: iz = 2 * iz + k; break;
-          }
-          acc += w * in.at_wrapped(ix, iy, iz);
-        }
-        out.at(mx, my, mz) = acc;
-      }
-    }
+// Restriction along one axis: coarse output m (global index origin + m)
+// reads fine cells 2(origin + m) + k, |k| <= p/2, with weights J_k.
+AxisStencil restriction_stencil(const AxisMap& fine, long origin, std::size_t n_out,
+                                const std::vector<double>& j) {
+  const long half_p = static_cast<long>(j.size() / 2);
+  return build_stencil(fine, n_out, j.size(), [&](std::size_t m, std::size_t t) {
+    const long k = static_cast<long>(t) - half_p;
+    return std::pair{2 * (origin + static_cast<long>(m)) + k, j[t]};
   });
-  (void)nx;
-  (void)nz;
 }
 
-// Prolongation along one axis: out has the axis doubled.
-// out[n] = sum_m J_{n-2m} in[m]; since |n-2m| <= p/2, for each n only a few
-// m contribute: m = (n - k)/2 over k of matching parity.
-void prolong_axis(const Grid3d& in, const std::vector<double>& j, int half_p,
-                  int axis, Grid3d& out) {
-  const auto [ox, oy, oz] = out.dims();
-  parallel_for(0, oz, [&, ox = ox, oy = oy](std::size_t nz_i) {
-    for (std::size_t ny_i = 0; ny_i < oy; ++ny_i) {
-      for (std::size_t nx_i = 0; nx_i < ox; ++nx_i) {
-        const long n_axis = static_cast<long>(axis == 0   ? nx_i
-                                              : axis == 1 ? ny_i
-                                                          : nz_i);
-        double acc = 0.0;
-        for (int k = -half_p; k <= half_p; ++k) {
-          if (((n_axis - k) & 1L) != 0) continue;  // n - k must be even
-          const long m = (n_axis - k) / 2;
-          const double w = j[static_cast<std::size_t>(k + half_p)];
-          long ix = static_cast<long>(nx_i), iy = static_cast<long>(ny_i),
-               iz = static_cast<long>(nz_i);
-          switch (axis) {
-            case 0: ix = m; break;
-            case 1: iy = m; break;
-            default: iz = m; break;
-          }
-          acc += w * in.at_wrapped(ix, iy, iz);
-        }
-        out.at(nx_i, ny_i, nz_i) = acc;
-      }
-    }
+// Prolongation along one axis: fine output g = origin + n reads coarse cells
+// m = (g - k)/2 over the k of g's parity.  Taps of the other parity carry
+// weight 0 on cell floor(g/2), so every row has the same p + 1 taps.
+AxisStencil prolongation_stencil(const AxisMap& coarse, long origin,
+                                 std::size_t n_out, const std::vector<double>& j) {
+  const long half_p = static_cast<long>(j.size() / 2);
+  return build_stencil(coarse, n_out, j.size(), [&](std::size_t n, std::size_t t) {
+    const long g = origin + static_cast<long>(n);
+    const long k = static_cast<long>(t) - half_p;
+    if (((g - k) & 1L) != 0) return std::pair{g >> 1, 0.0};
+    return std::pair{(g - k) / 2, j[t]};
   });
+}
+
+// The x, y, z passes of restriction or prolongation from a source laid out
+// by `src_map` onto the output block at global origin `origin`.
+template <typename Stencil>
+Grid3d transfer(const double* src, const GridDims& sd, const AxisMaps& src_map,
+                const long (&origin)[3], const GridDims& out, int p,
+                Stencil&& stencil, ThreadPool* pool) {
+  const std::vector<double> j = two_scale_coefficients(p);
+  const simd::Mode mode = simd::mode_from_env();
+  const GridDims dx{out.nx, sd.ny, sd.nz};
+  const GridDims dy{out.nx, out.ny, sd.nz};
+  Grid3d tmp_x(dx), tmp_y(dy), result(out);
+  axis_pass(src, sd, tmp_x.data(), dx, 0, stencil(src_map[0], origin[0], out.nx, j),
+            mode, pool);
+  axis_pass(tmp_x.data(), dx, tmp_y.data(), dy, 1,
+            stencil(src_map[1], origin[1], out.ny, j), mode, pool);
+  axis_pass(tmp_y.data(), dy, result.data(), out, 2,
+            stencil(src_map[2], origin[2], out.nz, j), mode, pool);
+  return result;
 }
 
 }  // namespace
 
 Grid3d restrict_grid(const Grid3d& fine, int p) {
-  const std::vector<double> j = two_scale_coefficients(p);
-  const int half_p = p / 2;
-  const GridDims half = fine.dims().halved();
-
-  Grid3d tmp_x(GridDims{half.nx, fine.dims().ny, fine.dims().nz});
-  restrict_axis(fine, j, half_p, 0, tmp_x);
-  Grid3d tmp_y(GridDims{half.nx, half.ny, fine.dims().nz});
-  restrict_axis(tmp_x, j, half_p, 1, tmp_y);
-  Grid3d out(half);
-  restrict_axis(tmp_y, j, half_p, 2, out);
-  return out;
+  const GridDims& d = fine.dims();
+  return transfer(fine.data(), d, periodic_maps(d), {0, 0, 0}, d.halved(), p,
+                  restriction_stencil, &global_pool());
 }
 
 Grid3d prolong_grid(const Grid3d& coarse, int p) {
-  const std::vector<double> j = two_scale_coefficients(p);
-  const int half_p = p / 2;
-  const GridDims c = coarse.dims();
+  const GridDims& c = coarse.dims();
+  return transfer(coarse.data(), c, periodic_maps(c), {0, 0, 0},
+                  GridDims{2 * c.nx, 2 * c.ny, 2 * c.nz}, p, prolongation_stencil,
+                  &global_pool());
+}
 
-  Grid3d tmp_x(GridDims{2 * c.nx, c.ny, c.nz});
-  prolong_axis(coarse, j, half_p, 0, tmp_x);
-  Grid3d tmp_y(GridDims{2 * c.nx, 2 * c.ny, c.nz});
-  prolong_axis(tmp_x, j, half_p, 1, tmp_y);
-  Grid3d out(GridDims{2 * c.nx, 2 * c.ny, 2 * c.nz});
-  prolong_axis(tmp_y, j, half_p, 2, out);
-  return out;
+Grid3d restrict_block(const ExtendedBlock& fine, long ox, long oy, long oz,
+                      const GridDims& out, int p) {
+  return transfer(fine.data.data(), fine.dims(), fine.maps(), {ox, oy, oz}, out, p,
+                  restriction_stencil, nullptr);
+}
+
+Grid3d prolong_block(const ExtendedBlock& coarse, long ox, long oy, long oz,
+                     const GridDims& out, int p) {
+  return transfer(coarse.data.data(), coarse.dims(), coarse.maps(), {ox, oy, oz}, out,
+                  p, prolongation_stencil, nullptr);
 }
 
 }  // namespace tme

@@ -6,38 +6,40 @@
 // blocks in fixed node order.  SerialExecutor runs each task inline — the
 // single-process behaviour the simulated machine always had.  WorkerFleet
 // (par/fleet.hpp) ships the same tasks to real worker processes over a
-// Transport.  Because every task is a pure function (par/node_kernels.hpp)
-// and results are integrated in task order, the forces are bitwise
-// independent of which executor — and which process — ran them.
+// Transport.  Every task runs the block form of the serial Tme's own
+// kernels (grid/transfer, grid/separable_conv, ewald/charge_assignment) on
+// its halo — pool-free, the same SIMD code — and results are integrated in
+// task order, so the forces are bitwise independent of which executor — and
+// which process — ran them.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "grid/block.hpp"
 #include "grid/grid3d.hpp"
 #include "grid/separable_conv.hpp"
-#include "par/node_kernels.hpp"
 #include "util/vec3.hpp"
 
 namespace tme::par {
 
 // Everything a worker needs to execute any task: geometry, spline order,
-// the two-scale coefficients, and the per-level separable kernels.  Built
+// and the per-level separable kernels.  Built
 // once by ParallelTme from its Tme; shipped verbatim to workers in the Init
 // message so they never construct a Tme (whose FFT planning would drag the
 // thread pool into a forked child).
 struct PipelineContext {
   Box box;
-  Vec3 h{1.0, 1.0, 1.0};  // finest grid spacing
   int p = 6;
   GridDims fine_global;
-  std::vector<double> j_coeff;
   // kernels[l - 1] holds level l's separable terms (levels 1 .. L).
   std::vector<std::vector<SeparableTerm>> kernels;
 };
 
-// One per-node unit of grid work.  The (level, term, axis) triple keys the
-// convolution kernel into PipelineContext::kernels on whichever side runs it.
+// One per-node unit of grid work: the output block `out_dims` at global
+// origin (ox, oy, oz) of the target level, computed from `halo`.  The
+// (level, term, axis) triple keys the convolution kernel into
+// PipelineContext::kernels on whichever side runs it.
 struct GridBlockTask {
   enum class Kind : std::uint16_t { kRestrict = 0, kProlong = 1, kConvolve = 2 };
   Kind kind = Kind::kRestrict;
@@ -47,8 +49,6 @@ struct GridBlockTask {
   GridDims out_dims;
   // Convolution-only fields:
   int axis = 0;
-  long reach = 0;
-  std::size_t n_axis = 0;
   int level = 1;
   std::size_t term = 0;
 };
@@ -66,6 +66,14 @@ struct BiBlockTask {
   ExtendedBlock halo;
   std::vector<Vec3> positions;
   std::vector<double> charges;
+};
+
+// Back-interpolation result: `forces` is indexed like the task's positions;
+// `q_phi` is this node's partial sum of q_i * phi_i (the coordinator adds
+// partials in node order).
+struct BiBlockResult {
+  std::vector<Vec3> forces;
+  double q_phi = 0.0;
 };
 
 class NodeExecutor {
@@ -92,7 +100,10 @@ class SerialExecutor : public NodeExecutor {
 
 // Shared by SerialExecutor and the worker loop: execute one task against a
 // context.  Defined here so in-process and worker-process execution are the
-// same code path by construction.
+// same code path by construction.  Tasks may arrive decoded from a socket:
+// a halo that does not cover the stencil is rejected with
+// std::invalid_argument, and a CA/BI atom whose support leaves the sleeve
+// with std::logic_error.
 Grid3d execute_grid_task(const PipelineContext& ctx, const GridBlockTask& task);
 ExtendedBlock execute_ca_task(const PipelineContext& ctx, const CaBlockTask& task);
 BiBlockResult execute_bi_task(const PipelineContext& ctx, const BiBlockTask& task);

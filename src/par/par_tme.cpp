@@ -3,9 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "grid/separable_conv.hpp"
 #include "obs/metrics.hpp"
-#include "spline/bspline.hpp"
-#include "spline/two_scale.hpp"
 #include "util/constants.hpp"
 
 namespace tme::par {
@@ -194,10 +193,6 @@ ParallelTme::ParallelTme(const Box& box, const TmeParams& params,
   ctx_.box = box_;
   ctx_.p = params.order;
   ctx_.fine_global = tme_.level_dims(1);
-  ctx_.h = {box_.lengths.x / static_cast<double>(ctx_.fine_global.nx),
-            box_.lengths.y / static_cast<double>(ctx_.fine_global.ny),
-            box_.lengths.z / static_cast<double>(ctx_.fine_global.nz)};
-  ctx_.j_coeff = two_scale_coefficients(params.order);
   for (int l = 1; l <= params.levels; ++l) {
     ctx_.kernels.push_back(tme_.level_kernels(l));
   }
@@ -401,8 +396,6 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
             t.oz = oz;
             t.out_dims = local;
             t.axis = axis;
-            t.reach = reach;
-            t.n_axis = n_axis;
             t.level = l;
             t.term = out_t;
           }
@@ -419,13 +412,11 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
     }
 
     // Accumulate the M terms into the prolonged potential with the level
-    // prefactor (Eq. 9).
+    // prefactor (Eq. 9), through convolve_tensor's own accumulation.
     const double scale = constants::kCoulomb / std::ldexp(1.0, l - 1);
     for (std::size_t n = 0; n < topo_.node_count(); ++n) {
-      Grid3d& out = fine_phi.block(n);
       for (std::size_t term = 0; term < m_terms; ++term) {
-        const Grid3d& w = work[term].block(n);
-        for (std::size_t i = 0; i < out.size(); ++i) out[i] += scale * w[i];
+        axpy(scale, work[term].block(n), fine_phi.block(n));
       }
     }
     phi = std::move(fine_phi);
@@ -543,7 +534,7 @@ Grid3d parallel_msm_convolution(const Grid3d& in, const std::vector<double>& tap
   const DistributedGrid dist = DistributedGrid::distribute(in, decomp);
   const GridDims& local = decomp.local();
 
-  Grid3d out(in.dims());
+  DistributedGrid out(decomp);
   for (std::size_t n = 0; n < topo.node_count(); ++n) {
     const NodeCoord me = topo.coord(n);
     ExtendedBlock halo;
@@ -554,32 +545,12 @@ Grid3d parallel_msm_convolution(const Grid3d& in, const std::vector<double>& tap
                local.ny + 2 * static_cast<std::size_t>(cutoff),
                local.nz + 2 * static_cast<std::size_t>(cutoff));
     import_halo(dist, decomp, me, halo, "MSM dense halo", log);
-    for (std::size_t lz = 0; lz < local.nz; ++lz) {
-      for (std::size_t ly = 0; ly < local.ny; ++ly) {
-        for (std::size_t lx = 0; lx < local.nx; ++lx) {
-          const long gx = static_cast<long>(decomp.origin_x(me) + lx);
-          const long gy = static_cast<long>(decomp.origin_y(me) + ly);
-          const long gz = static_cast<long>(decomp.origin_z(me) + lz);
-          double acc = 0.0;
-          for (int mz = -cutoff; mz <= cutoff; ++mz) {
-            for (int my = -cutoff; my <= cutoff; ++my) {
-              for (int mx = -cutoff; mx <= cutoff; ++mx) {
-                const double tap =
-                    taps3d[(static_cast<std::size_t>(mz + cutoff) * width +
-                            static_cast<std::size_t>(my + cutoff)) *
-                               width +
-                           static_cast<std::size_t>(mx + cutoff)];
-                acc += tap * halo.at(gx - mx, gy - my, gz - mz);
-              }
-            }
-          }
-          out.at(static_cast<std::size_t>(gx), static_cast<std::size_t>(gy),
-                 static_cast<std::size_t>(gz)) = acc;
-        }
-      }
-    }
+    out.block(n) = convolve_dense3d_block(
+        halo, static_cast<long>(decomp.origin_x(me)),
+        static_cast<long>(decomp.origin_y(me)),
+        static_cast<long>(decomp.origin_z(me)), local, taps3d, cutoff);
   }
-  return out;
+  return out.assemble();
 }
 
 }  // namespace tme::par

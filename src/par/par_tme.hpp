@@ -18,10 +18,13 @@
 // the same pipeline runs inline (SerialExecutor, the default) or across real
 // worker processes (par/fleet.hpp) with bitwise identical results.
 //
-// The result is bitwise-independent of the decomposition up to floating
-// summation order (tests assert agreement with the serial Tme to 1e-10),
-// and the TrafficLog gives *measured* per-phase word counts to check the
-// paper's Sec. III.C communication model against.
+// Every node block runs the block form of the serial Tme's own kernels, so
+// the grid pipeline (solve_potential) reproduces Tme::solve_potential bitwise
+// on any decomposition (with the default SPME top level).  Forces agree with the serial Tme to summation order
+// only (tests assert 1e-10): per-node CA buffers are summed into the grid in
+// a different order than the serial scatter.  The TrafficLog gives
+// *measured* per-phase word counts to check the paper's Sec. III.C
+// communication model against.
 #pragma once
 
 #include <memory>

@@ -8,8 +8,9 @@
 // real wall-clock deadlines and a SIGKILLed worker surfaces as POLLHUP/EOF
 // on its socket — crash *detection*, not simulation.
 //
-// Forked children never touch the thread pool (see par/node_kernels.hpp) and
-// terminate with _exit() so they cannot run the parent's atexit handlers or
+// Forked children never touch the thread pool (tasks run the pool-free
+// block kernels, see par/executor.hpp and grid/block.hpp) and terminate
+// with _exit() so they cannot run the parent's atexit handlers or
 // leak-check machinery.
 #pragma once
 

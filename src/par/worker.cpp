@@ -21,7 +21,10 @@ namespace tme::par {
 namespace {
 
 constexpr std::uint32_t kContextMagic = 0x58544354u;  // "TCTX"
-constexpr std::uint32_t kContextVersion = 2;  // v2 appended the telemetry flag
+// v2 appended the telemetry flag; v3 dropped the grid spacing and the
+// two-scale coefficients (workers derive both from box, p and grid) and,
+// from grid tasks, the convolution reach and period (the halo carries both).
+constexpr std::uint32_t kContextVersion = 3;
 constexpr std::uint32_t kContextFileMagic = 0x46435458u;  // "XTCF"
 
 // Guards applied to counts decoded from the wire before any allocation.
@@ -99,12 +102,8 @@ std::vector<std::uint8_t> encode_context(const WorkerContext& ctx) {
   w.f64(p.box.lengths.x);
   w.f64(p.box.lengths.y);
   w.f64(p.box.lengths.z);
-  w.f64(p.h.x);
-  w.f64(p.h.y);
-  w.f64(p.h.z);
   w.i64(p.p);
   put_dims(w, p.fine_global);
-  w.doubles(p.j_coeff);
   w.u64(p.kernels.size());
   for (const auto& level : p.kernels) {
     w.u64(level.size());
@@ -137,12 +136,8 @@ WorkerContext decode_context(const std::vector<std::uint8_t>& bytes) {
   p.box.lengths.x = r.f64();
   p.box.lengths.y = r.f64();
   p.box.lengths.z = r.f64();
-  p.h.x = r.f64();
-  p.h.y = r.f64();
-  p.h.z = r.f64();
   p.p = static_cast<int>(r.i64());
   p.fine_global = get_dims(r);
-  p.j_coeff = r.doubles();
   const std::size_t n_levels = r.count(kMaxLevels);
   p.kernels.resize(n_levels);
   for (auto& level : p.kernels) {
@@ -282,8 +277,6 @@ std::vector<std::uint8_t> encode_grid_task(std::uint64_t task_id,
   w.i64(t.oz);
   put_dims(w, t.out_dims);
   w.i64(t.axis);
-  w.i64(t.reach);
-  w.u64(t.n_axis);
   w.i64(t.level);
   w.u64(t.term);
   return w.take();
@@ -356,8 +349,6 @@ GridBlockTask get_grid_task(wire::Reader& r) {
   t.oz = static_cast<long>(r.i64());
   t.out_dims = get_dims(r);
   t.axis = static_cast<int>(r.i64());
-  t.reach = static_cast<long>(r.i64());
-  t.n_axis = static_cast<std::size_t>(r.u64());
   t.level = static_cast<int>(r.i64());
   t.term = static_cast<std::size_t>(r.u64());
   return t;

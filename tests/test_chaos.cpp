@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
@@ -121,7 +122,7 @@ TEST(ChaosSpec, EnvOverridesApplyOnTopOfBase) {
 
 RunnerOptions test_options() {
   RunnerOptions opts;
-  opts.workdir = ::testing::TempDir();
+  opts.workdir = tme_test::scratch_dir();
   opts.worker_bin = TME_WORKER_BIN;
   return opts;
 }
@@ -195,7 +196,7 @@ TEST(ChaosRunner, ReplayFileRoundTripsTheSpec) {
   result.failed_oracle = "force-parity";
   result.failed_step = 3;
   result.log.push_back({1, "packet", "window open"});
-  const std::string path = ::testing::TempDir() + "chaos_replay.json";
+  const std::string path = tme_test::scratch_path("chaos_replay.json");
   write_replay_file(path, spec, result);
   const ChaosSpec back = read_replay_spec(path);
   EXPECT_EQ(dump_spec(back), dump_spec(spec));
@@ -242,7 +243,7 @@ TEST(ChaosShrink, LethalScheduleShrinksToDeterministicMinimalReproducer) {
 
   // Replay file round-trip, then two independent replays: the minimal
   // reproducer must fail identically every time.
-  const std::string path = ::testing::TempDir() + "chaos_repro.json";
+  const std::string path = tme_test::scratch_path("chaos_repro.json");
   write_replay_file(path, shrunk.spec, shrunk.last_run);
   const ChaosSpec replay = read_replay_spec(path);
   for (int i = 0; i < 2; ++i) {

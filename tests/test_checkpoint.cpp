@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "ewald/splitting.hpp"
 #include "md/checkpoint.hpp"
 #include "md/forcefield.hpp"
@@ -77,7 +78,7 @@ void expect_bitwise_equal(const ParticleSystem& a, const ParticleSystem& b) {
 class CheckpointTest : public ::testing::Test {
  protected:
   std::string path(const char* name) const {
-    return ::testing::TempDir() + name;
+    return tme_test::scratch_path(name);
   }
 };
 
@@ -576,7 +577,7 @@ TEST(Guardrail, FlagsEnergyDrift) {
 TEST(GuardedRun, HealthyRunCompletesAndCheckpoints) {
   MdSetup md = make_md();
   GuardedRunParams params;
-  params.checkpoint_path = ::testing::TempDir() + "guarded-healthy.ckpt";
+  params.checkpoint_path = tme_test::scratch_path("guarded-healthy.ckpt");
   params.checkpoint_interval = 2;
   const GuardedRunResult result =
       run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 6, params);
@@ -609,7 +610,7 @@ TEST(GuardedRun, RecoverPolicyRollsBackToCheckpointAndFinishes) {
   MdSetup md = make_md();
   GuardedRunParams params;
   params.guardrail.policy = GuardrailPolicy::kRecover;
-  params.checkpoint_path = ::testing::TempDir() + "guarded-recover.ckpt";
+  params.checkpoint_path = tme_test::scratch_path("guarded-recover.ckpt");
   params.checkpoint_interval = 2;
   bool injected = false;
   params.fault_hook = [&injected](std::uint64_t step, ParticleSystem& sys) {
@@ -684,7 +685,7 @@ TEST(GuardedRun, RecomputeBudgetExhaustionEscalatesToRollback) {
   GuardedRunParams params;
   params.guardrail.policy = GuardrailPolicy::kRecompute;
   params.max_step_recomputes = 0;  // force the escalation path
-  params.checkpoint_path = ::testing::TempDir() + "guarded-escalate.ckpt";
+  params.checkpoint_path = tme_test::scratch_path("guarded-escalate.ckpt");
   params.checkpoint_interval = 2;
   bool injected = false;
   params.fault_hook = [&injected](std::uint64_t step, ParticleSystem& sys) {
@@ -718,7 +719,7 @@ TEST(GuardedRun, PersistentFaultExhaustsRecoveryBudget) {
   MdSetup md = make_md();
   GuardedRunParams params;
   params.guardrail.policy = GuardrailPolicy::kRecover;
-  params.checkpoint_path = ::testing::TempDir() + "guarded-persistent.ckpt";
+  params.checkpoint_path = tme_test::scratch_path("guarded-persistent.ckpt");
   params.checkpoint_interval = 2;
   params.max_recoveries = 2;
   params.fault_hook = [](std::uint64_t step, ParticleSystem& sys) {

@@ -6,7 +6,9 @@
 #include "core/cost_model.hpp"
 #include "core/tme.hpp"
 #include "ewald/splitting.hpp"
+#include "grid/transfer.hpp"
 #include "par/decomposition.hpp"
+#include "par/executor.hpp"
 #include "par/par_tme.hpp"
 #include "grid/separable_conv.hpp"
 #include "par/traffic.hpp"
@@ -140,11 +142,12 @@ TEST_F(ParallelTmeTest, GridPipelineMatchesSerial) {
       par.solve_potential(DistributedGrid::distribute(q, decomp), &log);
   const Grid3d assembled = par_phi.assemble();
 
-  double worst = 0.0;
+  // Every node block runs the serial kernels' own fma chains: exact.
+  std::size_t mismatches = 0;
   for (std::size_t i = 0; i < serial_phi.size(); ++i) {
-    worst = std::max(worst, std::abs(assembled[i] - serial_phi[i]));
+    if (assembled[i] != serial_phi[i]) ++mismatches;
   }
-  EXPECT_LT(worst, 1e-10 * serial_phi.max_abs());
+  EXPECT_EQ(mismatches, 0u);
   EXPECT_GT(log.total_words(), 0u);
 }
 
@@ -241,6 +244,166 @@ TEST_F(ParallelTmeTest, TransferPhasesAreCheapRelativeToConvolution) {
   EXPECT_GT(log.words_in("TMENW gather"), 0u);
 }
 
+// --- node tasks ----------------------------------------------------------------
+//
+// Tasks may arrive decoded from a socket, so execute_*_task must reject a halo
+// that does not cover its stencil rather than read past it.  Each check builds
+// the minimal halo (which must reproduce the whole-grid kernel exactly), then
+// the same halo one cell short on each side of each axis.
+
+long floor_div2(long v) { return v >= 0 ? v / 2 : -((1 - v) / 2); }
+
+// Fill `halo` from the periodic grid `g`.
+void fill_halo(const Grid3d& g, ExtendedBlock& halo) {
+  for (long z = halo.z0; z < halo.z0 + static_cast<long>(halo.nz); ++z) {
+    for (long y = halo.y0; y < halo.y0 + static_cast<long>(halo.ny); ++y) {
+      for (long x = halo.x0; x < halo.x0 + static_cast<long>(halo.nx); ++x) {
+        halo.at(x, y, z) = g.at_wrapped(x, y, z);
+      }
+    }
+  }
+}
+
+// Run `task` on its full halo, check it against `expect` at the task's
+// origin, then shrink the halo by one cell at each end of each axis.
+void expect_exact_then_short_halo_throws(const PipelineContext& ctx,
+                                         GridBlockTask task, const Grid3d& source,
+                                         const Grid3d& expect) {
+  fill_halo(source, task.halo);
+  const Grid3d out = execute_grid_task(ctx, task);
+  for (std::size_t z = 0; z < task.out_dims.nz; ++z) {
+    for (std::size_t y = 0; y < task.out_dims.ny; ++y) {
+      for (std::size_t x = 0; x < task.out_dims.nx; ++x) {
+        ASSERT_EQ(out.at(x, y, z),
+                  expect.at_wrapped(task.ox + static_cast<long>(x),
+                                    task.oy + static_cast<long>(y),
+                                    task.oz + static_cast<long>(z)));
+      }
+    }
+  }
+  const ExtendedBlock full = task.halo;
+  for (int axis = 0; axis < 3; ++axis) {
+    if (task.kind == GridBlockTask::Kind::kConvolve && axis != task.axis) continue;
+    for (const bool low_end : {true, false}) {
+      long o[3] = {full.x0, full.y0, full.z0};
+      std::size_t e[3] = {full.nx, full.ny, full.nz};
+      if (low_end) ++o[axis];
+      --e[axis];
+      task.halo.reset(o[0], o[1], o[2], e[0], e[1], e[2]);
+      fill_halo(source, task.halo);
+      EXPECT_THROW((void)execute_grid_task(ctx, task), std::invalid_argument)
+          << "axis " << axis << (low_end ? " low" : " high");
+    }
+  }
+}
+
+class NodeTaskTest : public ::testing::Test {
+ protected:
+  NodeTaskTest()
+      : par_(random_system(10, 6.4, 7).box, default_params(1.0), TorusTopology(4, 4, 4)) {}
+  const PipelineContext& ctx() const { return par_.context(); }
+  ParallelTme par_;
+};
+
+TEST_F(NodeTaskTest, RestrictTaskNeedsItsFullHalo) {
+  const int half_p = ctx().p / 2;
+  Rng rng(41);
+  Grid3d fine(ctx().fine_global);
+  for (std::size_t i = 0; i < fine.size(); ++i) fine[i] = rng.uniform(-1.0, 1.0);
+  GridBlockTask t;
+  t.kind = GridBlockTask::Kind::kRestrict;
+  t.ox = 4;  // coarse node origin (1, 0, 3) of a 16^3 level on 4^3 nodes
+  t.oy = 0;
+  t.oz = 12;
+  t.out_dims = {4, 4, 4};
+  const std::size_t ext = 2 * 4 + static_cast<std::size_t>(ctx().p) - 1;
+  t.halo.reset(2 * t.ox - half_p, 2 * t.oy - half_p, 2 * t.oz - half_p, ext, ext, ext);
+  expect_exact_then_short_halo_throws(ctx(), t, fine, restrict_grid(fine, ctx().p));
+}
+
+TEST_F(NodeTaskTest, ProlongTaskNeedsItsFullHalo) {
+  const long half_p = ctx().p / 2;
+  Rng rng(43);
+  Grid3d coarse(ctx().fine_global.halved());
+  for (std::size_t i = 0; i < coarse.size(); ++i) coarse[i] = rng.uniform(-1.0, 1.0);
+  GridBlockTask t;
+  t.kind = GridBlockTask::Kind::kProlong;
+  t.ox = 8;
+  t.oy = 0;
+  t.oz = 24;
+  t.out_dims = {8, 8, 8};
+  // Fine cell g reads coarse cells ceil((g - p/2) / 2) .. floor((g + p/2) / 2).
+  const long o[3] = {t.ox, t.oy, t.oz};
+  long lo[3];
+  std::size_t ext[3];
+  for (int a = 0; a < 3; ++a) {
+    lo[a] = floor_div2(o[a] - half_p + 1);
+    ext[a] = static_cast<std::size_t>(floor_div2(o[a] + 8 - 1 + half_p) - lo[a] + 1);
+  }
+  t.halo.reset(lo[0], lo[1], lo[2], ext[0], ext[1], ext[2]);
+  expect_exact_then_short_halo_throws(ctx(), t, coarse, prolong_grid(coarse, ctx().p));
+}
+
+TEST_F(NodeTaskTest, ConvolveTaskNeedsItsFullHalo) {
+  Rng rng(47);
+  Grid3d in(ctx().fine_global);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = rng.uniform(-1.0, 1.0);
+  const SeparableTerm& term = ctx().kernels[0][1];
+  const Kernel1d* kernels[3] = {&term.kx, &term.ky, &term.kz};
+  for (int axis = 0; axis < 3; ++axis) {
+    GridBlockTask t;
+    t.kind = GridBlockTask::Kind::kConvolve;
+    t.ox = 8;
+    t.oy = 16;
+    t.oz = 0;
+    t.out_dims = {8, 8, 8};
+    t.axis = axis;
+    t.level = 1;
+    t.term = 1;
+    const long c = kernels[axis]->cutoff;
+    long o[3] = {t.ox, t.oy, t.oz};
+    std::size_t e[3] = {8, 8, 8};
+    o[axis] -= c;
+    e[axis] += 2 * static_cast<std::size_t>(c);
+    t.halo.reset(o[0], o[1], o[2], e[0], e[1], e[2]);
+    Grid3d expect(in.dims());
+    convolve_axis(in, *kernels[axis], static_cast<ConvAxis>(axis), expect);
+    expect_exact_then_short_halo_throws(ctx(), t, in, expect);
+  }
+}
+
+TEST_F(NodeTaskTest, CaAndBiTasksRejectAtomsOutsideTheSleeve) {
+  // Node 0 owns fine cells 0..7 per axis (h = 0.2); its sleeve reaches
+  // p/2 + 1 = 4 cells out.  An atom at cell 16 cannot be spread there.
+  CaBlockTask ca;
+  ca.x0 = ca.y0 = ca.z0 = -4;
+  ca.ex = ca.ey = ca.ez = 16;
+  ca.positions = {{3.2, 0.5, 0.5}};
+  ca.charges = {1.0};
+  EXPECT_THROW((void)execute_ca_task(ctx(), ca), std::logic_error);
+  ca.positions = {{0.5, 0.5, 0.5}};
+  EXPECT_NO_THROW((void)execute_ca_task(ctx(), ca));
+
+  BiBlockTask bi;
+  bi.halo.reset(-4, -4, -4, 16, 16, 16);
+  bi.positions = {{0.5, 3.2, 0.5}};
+  bi.charges = {1.0};
+  EXPECT_THROW((void)execute_bi_task(ctx(), bi), std::logic_error);
+  bi.positions = {{0.5, 0.5, 0.5}};
+  EXPECT_NO_THROW((void)execute_bi_task(ctx(), bi));
+}
+
+TEST_F(NodeTaskTest, TasksRejectOriginsOutOfRangeAndWrappingExtents) {
+  CaBlockTask ca;
+  ca.x0 = 1L << 50;
+  ca.ex = ca.ey = ca.ez = 4;
+  EXPECT_THROW((void)execute_ca_task(ctx(), ca), std::invalid_argument);
+  ca.x0 = 0;
+  ca.ex = std::size_t{1} << 22;  // ex * ey * ez wraps to 0 in 64 bits
+  ca.ey = ca.ez = std::size_t{1} << 21;
+  EXPECT_THROW((void)execute_ca_task(ctx(), ca), std::invalid_argument);
+}
+
 TEST(ParallelMsm, HaloTrafficMatchesCostModelExactly) {
   // The paper's MSM communication formula (8 + 12 gamma + 6 gamma^2) g_c^3
   // is the halo volume of the dense convolution — measure it.
@@ -277,9 +440,8 @@ TEST(ParallelMsm, DenseConvolutionMatchesSerial) {
   convolve_dense3d(in, taps, gc, serial);
   const TorusTopology topo(2, 2, 2);
   const Grid3d parallel = parallel_msm_convolution(in, taps, gc, topo, nullptr);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_NEAR(parallel[i], serial[i], 1e-12);
-  }
+  // Each node block runs convolve_dense3d's own loop: exact.
+  for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(parallel[i], serial[i]);
 }
 
 TEST(ParallelTmeTwoLevel, MatchesSerialWithDeeperHierarchy) {

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "ewald/splitting.hpp"
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
@@ -75,7 +76,7 @@ TmeParams small_params() {
 }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return tme_test::scratch_path(name);
 }
 
 std::string read_file(const std::string& path) {

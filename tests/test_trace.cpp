@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "ewald/splitting.hpp"
 #include "hw/event_sim.hpp"
 #include "hw/link_stats.hpp"
@@ -166,7 +167,7 @@ TEST_F(TraceTest, FullRingCountsDropsInsteadOfGrowing) {
 
 TEST_F(TraceTest, WriteProducesParseableFile) {
   TME_TRACE_INSTANT("file marker");
-  const std::string path = ::testing::TempDir() + "trace_test_out.json";
+  const std::string path = tme_test::scratch_path("trace_test_out.json");
   ASSERT_TRUE(Tracer::global().write(path));
   std::ifstream in(path);
   std::stringstream buf;
@@ -396,7 +397,7 @@ TEST(Manifest, CarriesBuildFactsAndRuntimeEntries) {
 }
 
 TEST(StructuredLog, JsonlSinkWritesOneObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "trace_test_log.jsonl";
+  const std::string path = tme_test::scratch_path("trace_test_log.jsonl");
   std::remove(path.c_str());
   tme::set_log_json_path(path);
   tme::log_structured(tme::LogLevel::kWarn, "test_event",

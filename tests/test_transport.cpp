@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "ewald/splitting.hpp"
 #include "par/fleet.hpp"
 #include "par/health.hpp"
@@ -97,7 +98,7 @@ CoulombResult fleet_run(const TestSystem& sys, const hw::TorusTopology& topo,
 }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return tme_test::scratch_path(name);
 }
 
 class EnvGuard {
@@ -199,10 +200,8 @@ TEST(Wire, ReaderRejectsOverrunAndInsaneCounts) {
 WorkerContext sample_context() {
   WorkerContext ctx;
   ctx.pipeline.box.lengths = {3.2, 3.2, 6.4};
-  ctx.pipeline.h = {0.2, 0.2, 0.4};
   ctx.pipeline.p = 6;
   ctx.pipeline.fine_global = {16, 16, 16};
-  ctx.pipeline.j_coeff = {0.25, 0.5, 1.0, 0.5, 0.25};
   Kernel1d k;
   k.cutoff = 2;
   k.taps = {0.1, 0.2, 0.4, 0.2, 0.1};
@@ -224,7 +223,6 @@ TEST(WorkerProtocol, ContextRoundTrips) {
   EXPECT_EQ(back.fault.delay_ms, 11);
   EXPECT_EQ(back.pipeline.p, 6);
   EXPECT_EQ(back.pipeline.fine_global, (GridDims{16, 16, 16}));
-  EXPECT_EQ(back.pipeline.j_coeff, ctx.pipeline.j_coeff);
   ASSERT_EQ(back.pipeline.kernels.size(), 1u);
   ASSERT_EQ(back.pipeline.kernels[0].size(), 2u);
   EXPECT_EQ(back.pipeline.kernels[0][1].ky.taps, ctx.pipeline.kernels[0][1].ky.taps);
