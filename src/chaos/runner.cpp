@@ -20,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "par/fleet.hpp"
 #include "par/par_tme.hpp"
+#include "util/durable_file.hpp"
 #include "util/io_shim.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -688,11 +689,7 @@ void write_replay_file(const std::string& path, const ChaosSpec& spec,
   ro["stats"] = std::move(stats);
   obj["result"] = std::move(res);
 
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("chaos: cannot write replay file " + path);
-  }
-  out << root.dump() << "\n";
+  io::durable_write(path, root.dump() + "\n");
 }
 
 ChaosSpec read_replay_spec(const std::string& path) {

@@ -103,7 +103,8 @@ class ChaosRunner {
 
 // Replay file: {"spec": <spec json>, "result": {ok, failed_oracle,
 // failed_step, signature, realized event log, stats}} — self-contained, so
-// `chaos_drill --replay file.json` re-runs the exact schedule.
+// `chaos_drill --replay file.json` re-runs the exact schedule.  Written
+// with io::durable_write; throws io::WriteError (a std::runtime_error).
 void write_replay_file(const std::string& path, const ChaosSpec& spec,
                        const ChaosRunResult& result);
 ChaosSpec read_replay_spec(const std::string& path);

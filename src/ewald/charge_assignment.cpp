@@ -1,6 +1,8 @@
 #include "ewald/charge_assignment.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -82,6 +84,17 @@ void support(const AxisMap& map, long base, int p, std::size_t* ix) {
   }
 }
 
+// A blown-up coordinate (NaN or inf after a diverging step) has no grid
+// cell, and as NaN it would reach bspline_weights' float-to-integer cast.
+// Such an atom skips the stencil: spreading poisons the grid and gathering
+// gives the atom a NaN energy and force, so the run's guardrail still sees
+// non-finite forces.
+bool on_grid(const Vec3& u) {
+  return std::isfinite(u.x) && std::isfinite(u.y) && std::isfinite(u.z);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 void check_atoms(const char* what, std::span<const Vec3> positions,
                  std::span<const double> charges, const std::vector<Vec3>* forces) {
   if (positions.size() != charges.size()) {
@@ -126,6 +139,10 @@ void ChargeAssigner::spread_range(double* grid, const AxisMaps& maps,
   std::vector<std::size_t> ix(up), iy(up), iz(up);
   for (std::size_t i = first; i < last; ++i) {
     const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
+    if (!on_grid(u)) {
+      grid[0] = kNaN;
+      continue;
+    }
     support(maps[0], bspline_weights_central(p, u.x, wx, {}), p, ix.data());
     support(maps[1], bspline_weights_central(p, u.y, wy, {}), p, iy.data());
     support(maps[2], bspline_weights_central(p, u.z, wz, {}), p, iz.data());
@@ -161,6 +178,12 @@ double ChargeAssigner::gather_range(const double* grid, const AxisMaps& maps,
   double sum = 0.0;
   for (std::size_t i = first; i < last; ++i) {
     const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
+    if (!on_grid(u)) {
+      if (phi_out != nullptr) (*phi_out)[i] = kNaN;
+      sum = kNaN;
+      if (forces != nullptr) (*forces)[i] += {kNaN, kNaN, kNaN};
+      continue;
+    }
     support(maps[0], bspline_weights_central(p, u.x, wx, dx), p, ix.data());
     support(maps[1], bspline_weights_central(p, u.y, wy, dy), p, iy.data());
     support(maps[2], bspline_weights_central(p, u.z, wz, dz), p, iz.data());

@@ -61,7 +61,8 @@ class CheckpointError : public std::runtime_error {
 // staged as <path>.tmp, fsynced, renamed into place, and the parent
 // directory is fsynced after the rename — so after a power cut `path`
 // holds either the previous checkpoint or a complete new one, never a torn
-// or merely-cached write.  All IO goes through tme::io::IoShim, so the
+// or merely-cached write.  The write is io::write_sealed
+// (util/durable_file), so all IO goes through tme::io::IoShim and the
 // chaos harness can inject ENOSPC / short writes / EINTR storms / fsync
 // failures; those surface as typed CheckpointErrors (kNoSpace, kIoError)
 // with the temp file unlinked, leaving older generations untouched.

@@ -1,8 +1,6 @@
 #include "obs/status.hpp"
 
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <chrono>
@@ -10,6 +8,8 @@
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
+#include "util/durable_file.hpp"
+#include "util/env.hpp"
 
 namespace tme::obs {
 
@@ -18,15 +18,6 @@ namespace {
 volatile std::sig_atomic_t g_status_signal = 0;
 
 void on_sigusr1(int) { g_status_signal = 1; }
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<std::uint64_t>(v);
-}
 
 }  // namespace
 
@@ -83,12 +74,11 @@ void StatusReporter::arm_signal() {
 }
 
 void StatusReporter::configure_from_env() {
-  const char* out = std::getenv("TME_STATUS_OUT");
-  if (out != nullptr && *out != '\0') {
-    set_path(out);
+  if (const auto out = env::raw("TME_STATUS_OUT")) {
+    set_path(*out);
     arm_signal();
   }
-  set_every(env_u64("TME_STATUS_EVERY", every()));
+  set_every(env::u64_or("TME_STATUS_EVERY", every()));
 }
 
 bool StatusReporter::signal_pending() { return g_status_signal != 0; }
@@ -158,18 +148,9 @@ bool StatusReporter::write_now(std::uint64_t step) {
     obj[p.key] = std::move(section);
   }
 
-  const std::string json = root.dump() + "\n";
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  if (written != json.size() || std::fclose(f) != 0) {
-    if (written != json.size()) std::fclose(f);
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  try {
+    io::durable_write(path, root.dump() + "\n");
+  } catch (const io::WriteError&) {
     return false;
   }
   return true;

@@ -7,16 +7,14 @@
 //    signal context);
 //  - every N steps when set_every(N) / TME_STATUS_EVERY is configured.
 //
-// The snapshot is written atomically: the JSON lands in "<path>.tmp.<pid>"
-// and is renamed over <path>, so a reader never observes a torn file.  Its
+// The snapshot is written with util/durable_file's durable_write: the JSON
+// lands in "<path>.tmp" and is renamed over <path>, so a reader never
+// observes a torn file.  Its
 // schema ("tme-status-v1") is a flat object: step, pid, wall-clock stamp,
 // a "metrics" section (counters, gauges, histogram percentiles from the
 // global registry), plus one section per registered provider — the fleet
 // contributes per-worker health/offset/outstanding, the chaos runner its
 // event and oracle counters.
-//
-// obs sits below util in the link order, so file IO uses std::FILE +
-// std::rename directly and the two env knobs are parsed locally.
 #pragma once
 
 #include <cstdint>

@@ -2,35 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
+#include "util/durable_file.hpp"
+#include "util/env.hpp"
 
 namespace tme::obs {
 
 namespace {
-
-// obs sits below util in the link order, so it cannot use util/env; the two
-// variables read here are simple enough for direct parsing.
-bool env_flag(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return false;
-  return std::strcmp(raw, "1") == 0 || std::strcmp(raw, "on") == 0 ||
-         std::strcmp(raw, "ON") == 0 || std::strcmp(raw, "true") == 0 ||
-         std::strcmp(raw, "TRUE") == 0;
-}
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || v == 0) return fallback;
-  return static_cast<std::size_t>(v);
-}
 
 void append_number(std::string& out, double v) {
   char buf[32];
@@ -43,8 +25,10 @@ void append_number(std::string& out, double v) {
 }  // namespace
 
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {
-  enabled_.store(env_flag("TME_TRACE"), std::memory_order_relaxed);
-  capacity_.store(env_size("TME_TRACE_BUFFER", 65536), std::memory_order_relaxed);
+  enabled_.store(env::flag_or("TME_TRACE", false), std::memory_order_relaxed);
+  const long capacity = env::bounded_long_or(
+      "TME_TRACE_BUFFER", 65536, 1, std::numeric_limits<long>::max());
+  capacity_.store(static_cast<std::size_t>(capacity), std::memory_order_relaxed);
 }
 
 Tracer& Tracer::global() {
@@ -350,13 +334,12 @@ std::string Tracer::to_json() const {
 }
 
 bool Tracer::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = written == json.size() && std::fclose(f) == 0;
-  if (written != json.size()) std::fclose(f);
-  return ok;
+  try {
+    io::durable_write(path, to_json());
+  } catch (const io::WriteError&) {
+    return false;
+  }
+  return true;
 }
 
 void Tracer::set_buffer_capacity(std::size_t events) {

@@ -19,8 +19,9 @@
 // one relaxed atomic load when runtime-disabled, and compiles out entirely
 // (macros expand to nothing, kTraceEnabled = false) when the build is
 // configured with -DTME_TRACE=OFF — mirroring TME_METRICS.  At runtime the
-// tracer starts disabled unless the TME_TRACE environment variable is set
-// to 1/on/true; benches enable it for --trace-out runs.
+// tracer starts disabled unless the TME_TRACE environment variable is an
+// env::flag_or "on" spelling (1/on/true); benches enable it for
+// --trace-out runs.
 #pragma once
 
 #include <atomic>
@@ -148,7 +149,8 @@ class Tracer {
   // consistent prefix of each buffer).
   std::string to_json() const;
 
-  // to_json() to a file; returns false (and logs nothing) on I/O failure.
+  // to_json() to a file through io::durable_write (atomic: a reader never
+  // sees a torn trace); returns false (and logs nothing) on I/O failure.
   bool write(const std::string& path) const;
 
   // Per-thread ring capacity for buffers created *after* this call (existing

@@ -11,9 +11,9 @@
 #include "obs/metrics.hpp"
 #include "par/proc_transport.hpp"
 #include "par/telemetry.hpp"
-#include "par/wire.hpp"
 #include "util/crc32.hpp"
 #include "util/env.hpp"
+#include "util/wire.hpp"
 
 namespace tme::par {
 

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "par/wire.hpp"
+#include "util/wire.hpp"
 
 namespace tme::par {
 

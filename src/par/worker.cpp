@@ -2,19 +2,15 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/telemetry.hpp"
-#include "par/wire.hpp"
 #include "util/crc32.hpp"
-#include "util/io_shim.hpp"
+#include "util/durable_file.hpp"
+#include "util/wire.hpp"
 
 namespace tme::par {
 
@@ -162,80 +158,28 @@ WorkerContext decode_context(const std::vector<std::uint8_t>& bytes) {
 
 void write_context_file(const std::string& path,
                         const std::vector<std::uint8_t>& context_bytes) {
+  // The context file is what a respawned worker re-inits from, so it takes
+  // the durable sealed write: a torn or cached-only write here would turn a
+  // survivable crash into an unrecoverable one.
   wire::Writer w;
   w.u32(kContextFileMagic);
   w.u64(context_bytes.size());
   w.raw(context_bytes.data(), context_bytes.size());
-  // Seal body + trailing CRC into one buffer, then write it through the IO
-  // shim with the same durable discipline as md/checkpoint: write-all with
-  // EINTR retry, fsync the temp file, rename, fsync the directory.  The
-  // context file is what a respawned worker re-inits from, so a torn or
-  // cached-only write here turns a survivable crash into an unrecoverable
-  // one.
-  wire::Writer sealed;
-  sealed.raw(w.bytes().data(), w.bytes().size());
-  const std::uint32_t crc = crc32(w.bytes().data(), w.bytes().size());
-  sealed.raw(&crc, sizeof(crc));
-  const std::vector<std::uint8_t>& body = sealed.bytes();
-
-  auto& shim = io::IoShim::instance();
-  const std::string tmp = path + ".tmp";
-  const int fd = shim.open_for_write(tmp);
-  if (fd < 0) throw TransportError("context file: cannot open " + tmp);
-  auto fail = [&](const std::string& what) {
-    shim.close_fd(fd);
-    std::remove(tmp.c_str());
-    throw TransportError("context file: " + what + ": " + tmp);
-  };
-  const std::uint8_t* data = body.data();
-  std::size_t remaining = body.size();
-  while (remaining > 0) {
-    const ssize_t n = shim.write_some(fd, data, remaining, tmp);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("write failed");
-    } else if (n == 0) {
-      fail("write made no progress");
-    } else {
-      data += n;
-      remaining -= static_cast<std::size_t>(n);
-    }
-  }
-  while (shim.fsync_fd(fd, tmp) != 0) {
-    if (errno == EINTR) continue;
-    fail("fsync failed");
-  }
-  if (shim.close_fd(fd) != 0) {
-    std::remove(tmp.c_str());
-    throw TransportError("context file: close failed: " + tmp);
-  }
-  if (shim.rename_file(tmp, path) != 0) {
-    std::remove(tmp.c_str());
-    throw TransportError("context file: rename failed: " + path);
-  }
-  if (shim.fsync_parent_dir(path) != 0) {
-    throw TransportError("context file: parent directory fsync failed: " +
-                         path);
+  try {
+    io::write_sealed(path, w.take());
+  } catch (const io::WriteError& e) {
+    throw TransportError(std::string("context file: ") + e.what());
   }
 }
 
 std::vector<std::uint8_t> read_context_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw TransportError("context file: cannot open " + path);
-  const std::streamsize size = in.tellg();
-  if (size < static_cast<std::streamsize>(4 + 8 + 4)) {
-    throw TransportError("context file: truncated: " + path);
+  std::vector<std::uint8_t> body;
+  try {
+    body = io::read_sealed(path, 4 + 8);
+  } catch (const io::SealError& e) {
+    throw TransportError(std::string("context file: ") + e.what());
   }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw TransportError("context file: short read: " + path);
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
-  if (crc32(bytes.data(), bytes.size() - 4) != stored_crc) {
-    throw TransportError("context file: CRC mismatch: " + path);
-  }
-  wire::Reader r(bytes.data(), bytes.size() - 4);
+  wire::Reader r(body);
   if (r.u32() != kContextFileMagic) {
     throw TransportError("context file: bad magic: " + path);
   }

@@ -92,8 +92,12 @@ long bounded_long_or(const char* name, long fallback, long lo, long hi) {
 bool flag_or(const char* name, bool fallback) {
   const auto text = raw(name);
   if (!text) return fallback;
-  if (*text == "1" || *text == "on" || *text == "true") return true;
-  if (*text == "0" || *text == "off" || *text == "false") return false;
+  for (const char* on : {"1", "on", "ON", "true", "TRUE"}) {
+    if (*text == on) return true;
+  }
+  for (const char* off : {"0", "off", "OFF", "false", "FALSE"}) {
+    if (*text == off) return false;
+  }
   log_warn(name, "='", *text, "' is not 0|1|on|off|true|false; keeping ",
            fallback ? "on" : "off");
   return fallback;

@@ -39,7 +39,8 @@ double non_negative_or(const char* name, double fallback);
 // Integer in [lo, hi].
 long bounded_long_or(const char* name, long fallback, long lo, long hi);
 
-// Boolean flag: "0"/"off"/"false" -> false, "1"/"on"/"true" -> true.
+// Boolean flag: "0"/"off"/"false" -> false, "1"/"on"/"true" -> true; the
+// words are also accepted in upper case ("OFF", "TRUE", ...).
 bool flag_or(const char* name, bool fallback);
 
 // One of `choices` (exact match); returns the matching index, or

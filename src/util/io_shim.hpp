@@ -1,10 +1,12 @@
 // Injectable POSIX-IO fault shim for the storage path.
 //
-// Durable writers (md/checkpoint, the fleet's sealed context file) route
-// every open/write/fsync/rename through this process-global shim.  Unarmed
-// it is a transparent passthrough to the real syscalls; armed with an
-// IoFaultPlan it deterministically injects the resource-exhaustion faults a
-// week-long production run actually meets — ENOSPC part-way through a
+// util/durable_file routes every open/write/fsync/rename through this
+// process-global shim, so every durable writer does too: md/checkpoint, the
+// fleet's sealed context file (par/worker), obs::Tracer::write,
+// obs::FleetTelemetry::write, obs::StatusReporter::write_now and
+// chaos::write_replay_file.  Unarmed it is a transparent passthrough to the
+// real syscalls; armed with an IoFaultPlan it deterministically injects the
+// resource-exhaustion faults a week-long production run actually meets — ENOSPC part-way through a
 // write, short writes, EINTR storms, fsync and rename failures — so the
 // chaos harness (src/chaos) can prove the checkpoint rotation and the
 // fleet's sealed-context fallback survive them with typed errors instead of

@@ -34,6 +34,7 @@
 #include "par/telemetry.hpp"
 #include "par/traffic.hpp"
 #include "par/worker.hpp"
+#include "util/io_shim.hpp"
 #include "util/rng.hpp"
 
 namespace tme::par {
@@ -477,7 +478,7 @@ TEST_F(StatusReporterTest, WriteNowIsAtomicAndSchemaShaped) {
   });
   ASSERT_TRUE(status.write_now(17));
   // Atomic: the temp file is renamed away, only the target remains.
-  EXPECT_FALSE(file_exists(path + ".tmp." + std::to_string(::getpid())));
+  EXPECT_FALSE(file_exists(path + ".tmp"));
   const obs::JsonValue snap = obs::json_parse(read_file(path));
   EXPECT_EQ(snap.at("schema").as_string(), "tme-status-v1");
   EXPECT_EQ(snap.at("step").as_number(), 17.0);
@@ -492,6 +493,25 @@ TEST_F(StatusReporterTest, WriteNowIsAtomicAndSchemaShaped) {
   status.remove_provider(id);
   ASSERT_TRUE(status.write_now(18));
   EXPECT_FALSE(obs::json_parse(read_file(path)).contains("fleet"));
+  std::remove(path.c_str());
+}
+
+TEST_F(StatusReporterTest, FailedRenameReturnsFalseAndKeepsPreviousSnapshot) {
+  obs::StatusReporter& status = obs::StatusReporter::global();
+  const std::string path = temp_path("status_rename.json");
+  status.set_path(path);
+  ASSERT_TRUE(status.write_now(1));
+  const std::string previous = read_file(path);
+  {
+    io::IoFaultPlan plan;
+    plan.path_substring = "status_rename.json";
+    plan.fail_rename = true;
+    io::ScopedIoFaults armed(plan);
+    EXPECT_FALSE(status.write_now(2));
+  }
+  EXPECT_EQ(read_file(path), previous);
+  EXPECT_EQ(obs::json_parse(previous).at("step").as_number(), 1.0);
+  EXPECT_FALSE(file_exists(path + ".tmp"));
   std::remove(path.c_str());
 }
 

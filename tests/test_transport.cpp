@@ -9,22 +9,27 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "scratch_dir.hpp"
 #include "ewald/splitting.hpp"
+#include "md/checkpoint.hpp"
 #include "par/fleet.hpp"
 #include "par/health.hpp"
 #include "par/par_tme.hpp"
 #include "par/proc_transport.hpp"
 #include "par/transport.hpp"
-#include "par/wire.hpp"
 #include "par/worker.hpp"
+#include "util/crc32.hpp"
 #include "util/env.hpp"
+#include "util/io_shim.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace tme::par {
 namespace {
@@ -115,20 +120,23 @@ class EnvGuard {
 // --- frame codec -------------------------------------------------------------
 
 TEST(FrameCodec, RoundTripPreservesTypeSeqAndPayload) {
-  Message m;
-  m.type = MsgType::kTask;
-  m.payload = {1, 2, 3, 250, 5};
-  const std::vector<std::uint8_t> frame = encode_frame(m, 42);
-  EXPECT_EQ(frame.size(),
-            kFrameHeaderBytes + m.payload.size() + kFrameTrailerBytes);
-  Message out;
-  std::size_t consumed = 0;
-  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, consumed),
-            DecodeStatus::kOk);
-  EXPECT_EQ(consumed, frame.size());
-  EXPECT_EQ(out.type, MsgType::kTask);
-  EXPECT_EQ(out.seq, 42u);
-  EXPECT_EQ(out.payload, m.payload);
+  for (const std::vector<std::uint8_t>& payload :
+       {std::vector<std::uint8_t>{1, 2, 3, 250, 5}, std::vector<std::uint8_t>{}}) {
+    Message m;
+    m.type = MsgType::kTask;
+    m.payload = payload;
+    const std::vector<std::uint8_t> frame = encode_frame(m, 42);
+    EXPECT_EQ(frame.size(),
+              kFrameHeaderBytes + m.payload.size() + kFrameTrailerBytes);
+    Message out;
+    std::size_t consumed = 0;
+    EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, consumed),
+              DecodeStatus::kOk);
+    EXPECT_EQ(consumed, frame.size());
+    EXPECT_EQ(out.type, MsgType::kTask);
+    EXPECT_EQ(out.seq, 42u);
+    EXPECT_EQ(out.payload, m.payload);
+  }
 }
 
 TEST(FrameCodec, PartialFrameAsksForMoreBytes) {
@@ -180,10 +188,12 @@ TEST(Wire, ReaderRejectsOverrunAndInsaneCounts) {
   wire::Writer w;
   w.u64(3);
   w.f64(1.0);
+  w.doubles({});
   const std::vector<std::uint8_t> bytes = w.bytes();
   wire::Reader r(bytes);
   EXPECT_EQ(r.u64(), 3u);
   EXPECT_EQ(r.f64(), 1.0);
+  EXPECT_TRUE(r.doubles().empty());
   EXPECT_TRUE(r.done());
   EXPECT_THROW(r.f64(), wire::Error);
 
@@ -264,6 +274,98 @@ TEST(WorkerProtocol, ContextFileSealCatchesTornWrites) {
     f.write(&byte, 1);
   }
   EXPECT_THROW(read_context_file(path), TransportError);
+}
+
+// --- durable sealed files (util/durable_file) --------------------------------
+
+io::IoFaultPlan context_faults() {
+  io::IoFaultPlan plan;
+  plan.path_substring = "faults.ctx";
+  return plan;
+}
+
+TEST(DurableFile, ContextFileFaultsThrowAndKeepThePreviousFile) {
+  const std::string path = temp_path("faults.ctx");
+  const std::vector<std::uint8_t> previous = encode_context(sample_context());
+  WorkerContext next_ctx = sample_context();
+  next_ctx.rank = 4;
+  const std::vector<std::uint8_t> next = encode_context(next_ctx);
+  write_context_file(path, previous);
+
+  io::IoFaultPlan enospc = context_faults();
+  enospc.enospc_after_bytes = 100;  // the file is ~470 bytes: fails mid-write
+  io::IoFaultPlan fsync = context_faults();
+  fsync.fail_fsync = true;
+  io::IoFaultPlan rename = context_faults();
+  rename.fail_rename = true;
+  io::IoFaultPlan open = context_faults();
+  open.fail_open = true;
+  io::IoShim::instance().reset_stats();
+  for (const auto& [name, plan] :
+       std::vector<std::pair<const char*, io::IoFaultPlan>>{
+           {"enospc", enospc}, {"fsync", fsync}, {"rename", rename}, {"open", open}}) {
+    SCOPED_TRACE(name);
+    io::ScopedIoFaults armed(plan);
+    EXPECT_THROW(write_context_file(path, next), TransportError);
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    EXPECT_EQ(read_context_file(path), previous);
+  }
+  const io::IoStats stats = io::IoShim::instance().stats();
+  EXPECT_GE(stats.injected_enospc, 1u);
+  EXPECT_EQ(stats.injected_fsync_failures, 1u);
+  EXPECT_EQ(stats.injected_rename_failures, 1u);
+  EXPECT_EQ(stats.injected_open_failures, 1u);
+}
+
+TEST(DurableFile, ShortWritesAndEintrStormStillLandTheWholeFile) {
+  const std::string path = temp_path("faults.ctx");
+  const std::vector<std::uint8_t> payload = encode_context(sample_context());
+  io::IoFaultPlan plan = context_faults();
+  plan.short_writes = true;
+  plan.eintr_every = 2;
+  io::IoShim::instance().reset_stats();
+  {
+    io::ScopedIoFaults armed(plan);
+    write_context_file(path, payload);
+  }
+  EXPECT_EQ(read_context_file(path), payload);
+  EXPECT_GE(io::IoShim::instance().stats().injected_short_writes, 2u);
+  EXPECT_GE(io::IoShim::instance().stats().injected_eintr, 2u);
+}
+
+// Size and seal (the CRC-32 of everything before it) of a sealed file.  The
+// CRC of a whole sealed file is the same constant for every body, so the
+// body's CRC is what pins the bytes.
+std::pair<std::size_t, std::uint32_t> sealed_fingerprint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  if (bytes.size() < 4) return {bytes.size(), 0};
+  return {bytes.size(), crc32(bytes.data(), bytes.size() - 4)};
+}
+
+// Both on-disk formats are frozen (checkpoint v1, context file over context
+// v3): a codec or writer change that moves one byte fails here.
+TEST(DurableFile, CheckpointAndContextFileBytesArePinned) {
+  ParticleSystem sys;
+  sys.box.lengths = {1.5, 2.0, 2.5};
+  for (int i = 0; i < 4; ++i) {
+    const double x = 0.25 * (i + 1);
+    sys.positions.push_back({x, 2 * x, 3 * x});
+    sys.velocities.push_back({-x, 0.5, x * x});
+    sys.forces.push_back({x, -x, 0.125});
+    sys.masses.push_back(1.0 + i);
+    sys.charges.push_back(i % 2 == 0 ? 0.5 : -0.5);
+  }
+  const std::string ckpt = temp_path("pinned.ckpt");
+  write_checkpoint(ckpt, sys, 42);
+  EXPECT_EQ(sealed_fingerprint(ckpt),
+            (std::pair<std::size_t, std::uint32_t>{408, 0x67E0A309u}));
+
+  const std::string ctx = temp_path("pinned.ctx");
+  write_context_file(ctx, encode_context(sample_context()));
+  EXPECT_EQ(sealed_fingerprint(ctx),
+            (std::pair<std::size_t, std::uint32_t>{468, 0x4C77C5BDu}));
 }
 
 // --- env knobs (strict parser) -----------------------------------------------

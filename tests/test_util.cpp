@@ -319,11 +319,11 @@ TEST(Env, RangeViolationsKeepTheFallback) {
 }
 
 TEST(Env, FlagAcceptsConventionalSpellings) {
-  for (const char* spelling : {"1", "on", "true"}) {
+  for (const char* spelling : {"1", "on", "true", "ON", "TRUE"}) {
     ScopedEnv e("TME_TEST_ENV_KNOB", spelling);
     EXPECT_TRUE(env::flag_or("TME_TEST_ENV_KNOB", false)) << spelling;
   }
-  for (const char* spelling : {"0", "off", "false"}) {
+  for (const char* spelling : {"0", "off", "false", "OFF", "FALSE"}) {
     ScopedEnv e("TME_TEST_ENV_KNOB", spelling);
     EXPECT_FALSE(env::flag_or("TME_TEST_ENV_KNOB", true)) << spelling;
   }
