@@ -6,7 +6,9 @@
 // SIMD mode (scalar twin vs native-width vec kernel) × pool sizes 1, 2, 4,
 // ... up to --threads, and reports per-eval time, pair throughput, speedup
 // over 1 thread, speedup over the scalar twin, and the force deviation from
-// the serial reference loop.  The run *fails* (non-zero exit) when
+// the serial reference loop, plus the sweep's candidate pairs examined per
+// pair kept (shortrange/examined_per_kept).  The run *fails* (non-zero
+// exit) when
 //  - the analytic forces drift from the serial ones beyond 1e-10 relative,
 //  - the tabulated forces drift from analytic beyond 1e-6 relative, or
 //  - the native-mode forces are not BITWISE identical to the scalar-mode
@@ -115,6 +117,7 @@ int main(int argc, char** argv) {
               "max rel dF");
 
   bool mismatch = false;
+  std::size_t examined = 0;
   for (const KernelSpec& kernel : kernels) {
     ShortRangeParams p_scalar = params;
     p_scalar.kernel = kernel.kernel;
@@ -170,6 +173,12 @@ int main(int argc, char** argv) {
                                           vs_scalar);
         if (deviation > kernel.tolerance) mismatch = true;
         if (!parity_ok) mismatch = true;
+        if (examined != 0 && r.pairs_examined != examined) {
+          std::printf("  ** pairs examined changed: %zu vs %zu **\n",
+                      r.pairs_examined, examined);
+          mismatch = true;
+        }
+        examined = r.pairs_examined;
         if (r.pair_count != ref.pair_count) {
           std::printf("  ** pair count mismatch: %zu vs serial %zu **\n",
                       r.pair_count, ref.pair_count);
@@ -178,6 +187,19 @@ int main(int argc, char** argv) {
       }
     }
   }
+
+  // Every engine configuration sweeps the same candidates: the cell grid
+  // decides how many pair distances are computed per pair kept.
+  const double examined_per_kept =
+      static_cast<double>(examined) / static_cast<double>(ref.pair_count);
+  std::printf("pairs examined %zu  kept %zu  examined/kept %.2f\n", examined,
+              ref.pair_count, examined_per_kept);
+  obs::Registry::global().gauge_set("shortrange/pairs_examined",
+                                    static_cast<double>(examined));
+  obs::Registry::global().gauge_set("shortrange/pairs_kept",
+                                    static_cast<double>(ref.pair_count));
+  obs::Registry::global().gauge_set("shortrange/examined_per_kept",
+                                    examined_per_kept);
 
   // --- isolated vectorized-kernel micro (single thread) --------------------
   // The engine sweep above folds scalar pair enumeration (cell walk,

@@ -20,9 +20,13 @@ CellList::CellList(const Box& box, std::span<const Vec3> positions, double cutof
   cell_start_.assign(cell_count() + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3 w = box.wrap(positions[i]);
+    // The clamp runs in double before the cast: x == box_len round-off
+    // lands in the last cell, and a NaN coordinate (which wrap() keeps NaN)
+    // in cell 0, where its pairs still reach the force loop.
     auto bin = [](double x, double box_len, std::size_t cells) {
-      auto b = static_cast<std::size_t>(x / box_len * static_cast<double>(cells));
-      return std::min(b, cells - 1);  // guard x == box_len round-off
+      const double u = x / box_len * static_cast<double>(cells);
+      const double last = static_cast<double>(cells - 1);
+      return static_cast<std::size_t>(u >= 0.0 ? std::min(u, last) : 0.0);
     };
     const std::size_t c = cell_index(bin(w.x, box.lengths.x, cells_x_),
                                      bin(w.y, box.lengths.y, cells_y_),
@@ -36,15 +40,14 @@ CellList::CellList(const Box& box, std::span<const Vec3> positions, double cutof
   for (std::size_t i = 0; i < n; ++i) order_[cursor[cell_of[i]]++] = i;
 }
 
-std::vector<std::size_t> CellList::half_stencil(std::size_t c) const {
+CellList::Stencil CellList::half_stencil(std::size_t c) const {
   // All distinct 26-neighbourhood cells with index strictly greater than c.
   // The symmetric construction guarantees each unordered cell pair is
   // produced exactly once even on degenerate (1- or 2-cell) axes.
   const std::size_t cx = c % cells_x_;
   const std::size_t cy = (c / cells_x_) % cells_y_;
   const std::size_t cz = c / (cells_x_ * cells_y_);
-  std::vector<std::size_t> out;
-  out.reserve(26);
+  Stencil out;
   for (int dz = -1; dz <= 1; ++dz) {
     for (int dy = -1; dy <= 1; ++dy) {
       for (int dx = -1; dx <= 1; ++dx) {
@@ -56,12 +59,13 @@ std::vector<std::size_t> CellList::half_stencil(std::size_t c) const {
         const std::size_t nz =
             (cz + static_cast<std::size_t>(dz + static_cast<int>(cells_z_))) % cells_z_;
         const std::size_t n = cell_index(nx, ny, nz);
-        if (n > c) out.push_back(n);
+        if (n > c) out.cell[out.count++] = n;
       }
     }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::size_t* first = out.cell.data();
+  std::sort(first, first + out.count);
+  out.count = static_cast<std::size_t>(std::unique(first, first + out.count) - first);
   return out;
 }
 

@@ -6,6 +6,7 @@
 // the 27-cell neighbourhood.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -62,10 +63,17 @@ class CellList {
     return {order_.data() + cell_start_[c], cell_start_[c + 1] - cell_start_[c]};
   }
 
-  // The 13 forward neighbours of cell c (periodic).  When the grid is
-  // smaller than 3 cells along an axis, duplicate neighbours are removed so
-  // pairs are still visited exactly once.
-  std::vector<std::size_t> half_stencil(std::size_t c) const;
+  // Forward neighbours of cell c: the distinct cells of its periodic
+  // 26-neighbourhood with a larger index, ascending — 13 on average, at most
+  // 26.  When the grid is smaller than 3 cells along an axis, duplicate
+  // neighbours are removed so pairs are still visited exactly once.
+  struct Stencil {
+    std::array<std::size_t, 26> cell{};
+    std::size_t count = 0;
+    const std::size_t* begin() const { return cell.data(); }
+    const std::size_t* end() const { return cell.data() + count; }
+  };
+  Stencil half_stencil(std::size_t c) const;
 
  private:
   std::size_t cell_index(std::size_t ix, std::size_t iy, std::size_t iz) const {

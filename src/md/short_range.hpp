@@ -7,8 +7,9 @@
 //  - compute_short_range (below): the serial reference loop, kept as the
 //    equivalence baseline for tests;
 //  - ShortRangeEngine (md/short_range_engine.hpp): the production path —
-//    parallel cell traversal, precombined LJ table, optional tabulated
-//    Coulomb kernel mirroring the hardware's table-lookup evaluators.
+//    parallel vectorized cell sweep, precombined LJ table, and by default the
+//    tabulated Coulomb kernel mirroring the hardware's table-lookup
+//    evaluators.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +37,9 @@ struct ShortRangeParams {
 
   // Kernel selection (used by ShortRangeEngine; the serial reference loop is
   // always analytic).  The table covers [table_r_min, cutoff] and falls back
-  // to the analytic kernel below table_r_min.
-  CoulombKernel kernel = CoulombKernel::kAnalytic;
+  // to the analytic kernel below table_r_min; its measured error bound is
+  // ForceTable::max_rel_error_force() (< 1e-6).
+  CoulombKernel kernel = CoulombKernel::kTabulated;
   double table_r_min = 0.1;           // nm
   std::size_t table_segments = 4096;
 
@@ -57,6 +59,8 @@ struct ShortRangeResult {
   double energy_coulomb = 0.0;  // kJ/mol (erfc part)
   double energy_lj = 0.0;       // kJ/mol
   std::size_t pair_count = 0;   // pairs inside the cutoff (after exclusions)
+  std::size_t pairs_examined = 0;  // candidate pairs whose distance was
+                                   // computed (filled by ShortRangeEngine)
 
   // Newton's-third-law ABFT check (filled by ShortRangeEngine).  Every pair
   // accumulates +f on one particle and -f on the other, so the engine's own

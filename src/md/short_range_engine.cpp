@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "core/abft.hpp"
@@ -16,33 +16,6 @@
 #include "util/simd.hpp"
 
 namespace tme {
-
-namespace {
-
-// Precombined Lorentz–Berthelot pair parameters: E = (c12/r⁶ - c6)/r⁶ -
-// e_shift and f·r = (12 c12/r⁶ - 6 c6)/r⁶ / r².
-struct MixedLj {
-  double c6 = 0.0;       // 4 ε σ⁶
-  double c12 = 0.0;      // 4 ε σ¹²
-  double e_shift = 0.0;  // energy at the cutoff (0 when shift_lj is off)
-};
-
-// Per-batch private accumulators, merged in batch order after the sweep.
-struct Partial {
-  std::vector<Vec3> forces;  // indexed by sorted (cell-order) particle index
-  double energy_coulomb = 0.0;
-  double energy_lj = 0.0;
-  std::size_t pairs = 0;
-};
-
-// Pairs buffered between kernel evaluations.  The flush boundary is bitwise
-// transparent: every pair's outputs depend only on its own lanes, and the
-// scalar accumulation that follows runs in enumeration order regardless of
-// where the batch was cut.  4096 pairs keeps the SoA working set (~14
-// doubles/pair) inside L2.
-constexpr std::size_t kFlushPairs = 4096;
-
-}  // namespace
 
 ShortRangeEngine::ShortRangeEngine(const ShortRangeParams& params)
     : params_(params) {
@@ -77,24 +50,39 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
   const CellList cells(system.box, system.positions, params_.cutoff);
   const std::size_t ncells = cells.cell_count();
 
+  SweepInput in;
+  in.topology = &topology;
+  in.box = system.box.lengths;
+  in.cutoff2 = cutoff2;
+  in.kernel = PairKernelConfig{params_.alpha, table_.get()};
+
   // --- LJ type compression + flat mixing table -----------------------------
+  // Types are found by a linear scan over the distinct (sigma, epsilon)
+  // pairs seen so far: a force field has a handful of LJ types, and the
+  // ntypes² mixing table below already assumes as much.
   const auto& lj = topology.lj();
   std::vector<std::uint32_t> type_of(n);
   std::vector<LjParams> types;
-  {
-    std::map<std::pair<double, double>, std::uint32_t> ids;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] = ids.try_emplace(
-          {lj[i].sigma, lj[i].epsilon}, static_cast<std::uint32_t>(types.size()));
-      if (inserted) types.push_back(lj[i]);
-      type_of[i] = it->second;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t t = 0;
+    while (t < types.size() &&
+           !(types[t].sigma == lj[i].sigma && types[t].epsilon == lj[i].epsilon)) {
+      ++t;
     }
+    if (t == types.size()) types.push_back(lj[i]);
+    type_of[i] = static_cast<std::uint32_t>(t);
   }
   const std::size_t ntypes = types.size();
   TME_GAUGE_SET("short_range/lj_types", ntypes);
   double inv_rc6 = 0.0;
   if (params_.shift_lj) inv_rc6 = 1.0 / (cutoff2 * cutoff2 * cutoff2);
-  std::vector<MixedLj> mix(ntypes * ntypes);
+  // Precombined Lorentz–Berthelot pair parameters: E = (c12/r⁶ - c6)/r⁶ -
+  // e_shift and f·r = (12 c12/r⁶ - 6 c6)/r⁶ / r², with e_shift the energy at
+  // the cutoff (0 when shift_lj is off).
+  in.ntypes = ntypes;
+  in.mix_c6.assign(ntypes * ntypes, 0.0);
+  in.mix_c12.assign(ntypes * ntypes, 0.0);
+  in.mix_shift.assign(ntypes * ntypes, 0.0);
   for (std::size_t a = 0; a < ntypes; ++a) {
     for (std::size_t b = 0; b < ntypes; ++b) {
       const double eps = std::sqrt(types[a].epsilon * types[b].epsilon);
@@ -102,111 +90,68 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
       const double sigma = 0.5 * (types[a].sigma + types[b].sigma);
       const double sig2 = sigma * sigma;
       const double sig6 = sig2 * sig2 * sig2;
-      MixedLj& m = mix[a * ntypes + b];
-      m.c6 = 4.0 * eps * sig6;
-      m.c12 = m.c6 * sig6;
-      m.e_shift = (m.c12 * inv_rc6 - m.c6) * inv_rc6;
+      const double c6 = 4.0 * eps * sig6;    // 4 ε σ⁶
+      const double c12 = c6 * sig6;          // 4 ε σ¹²
+      in.mix_c6[a * ntypes + b] = c6;
+      in.mix_c12[a * ntypes + b] = c12;
+      in.mix_shift[a * ntypes + b] = (c12 * inv_rc6 - c6) * inv_rc6;
     }
   }
 
   // --- cell-sorted SoA packing ---------------------------------------------
-  std::vector<double> sx(n), sy(n), sz(n), sq(n);
-  std::vector<std::uint32_t> stype(n);
-  std::vector<std::size_t> orig(n);          // sorted index -> original index
-  std::vector<std::size_t> cstart(ncells + 1, 0);
+  const std::size_t padded = n + simd::kNativeWidth;
+  in.x.assign(padded, 0.0);
+  in.y.assign(padded, 0.0);
+  in.z.assign(padded, 0.0);
+  in.q.resize(n);
+  in.type.resize(n);
+  in.orig.resize(n);
+  in.excl_lo.resize(n);
+  in.excl_hi.resize(n);
+  in.cell_start.assign(ncells + 1, 0);
   {
     std::size_t k = 0;
     for (std::size_t c = 0; c < ncells; ++c) {
-      cstart[c] = k;
+      in.cell_start[c] = k;
       for (const std::size_t i : cells.cell_atoms(c)) {
-        orig[k] = i;
-        sx[k] = system.positions[i].x;
-        sy[k] = system.positions[i].y;
-        sz[k] = system.positions[i].z;
-        sq[k] = system.charges[i];
-        stype[k] = type_of[i];
+        in.orig[k] = static_cast<std::uint32_t>(i);
+        in.x[k] = system.positions[i].x;
+        in.y[k] = system.positions[i].y;
+        in.z[k] = system.positions[i].z;
+        in.q[k] = system.charges[i];
+        in.type[k] = type_of[i];
+        const std::span<const std::size_t> partners = topology.exclusion_partners(i);
+        in.excl_lo[k] = partners.empty() ? UINT32_MAX
+                                         : static_cast<std::uint32_t>(partners.front());
+        in.excl_hi[k] = partners.empty() ? 0 : static_cast<std::uint32_t>(partners.back());
         ++k;
       }
     }
-    cstart[ncells] = k;
+    in.cell_start[ncells] = k;
   }
 
-  // Stencils are precomputed once per call instead of allocating a vector
-  // per cell inside the sweep.
-  std::vector<std::vector<std::size_t>> stencil(ncells);
-  parallel_for(pool, 0, ncells,
-               [&](std::size_t c) { stencil[c] = cells.half_stencil(c); });
+  // Forward-neighbour stencils, flattened (CSR) once per call.
+  in.stencil_start.assign(ncells + 1, 0);
+  in.stencil.reserve(13 * ncells);
+  for (std::size_t c = 0; c < ncells; ++c) {
+    const CellList::Stencil st = cells.half_stencil(c);
+    in.stencil.insert(in.stencil.end(), st.begin(), st.end());
+    in.stencil_start[c + 1] = in.stencil.size();
+  }
 
   // --- parallel sweep over contiguous cell batches -------------------------
   const std::size_t nb =
       std::min<std::size_t>(ThreadPool::in_parallel_region() ? 1 : pool.concurrency(),
                             ncells);
   const std::size_t chunk = (ncells + nb - 1) / nb;
-  std::vector<Partial> partials(nb);
-
-  const Box box = system.box;
-  const PairKernelConfig kernel_cfg{params_.alpha, table_.get()};
-  const simd::Mode mode = mode_;
-  const int width = simd::lanes(mode);
+  std::vector<SweepPartial> partials(nb);
   parallel_for(pool, 0, nb, [&](std::size_t b) {
     TME_TRACE_SPAN("short_range/batch");
-    Partial& part = partials[b];
+    SweepPartial& part = partials[b];
     part.forces.assign(n, Vec3{});
-
-    // The sweep filters pairs into an SoA batch; the vectorized kernel
-    // (md/short_range_kernels.hpp) evaluates them, and the flush scatters
-    // the results serially in the same enumeration order the old per-pair
-    // loop used, so energies and forces stay bitwise reproducible per pool
-    // size and identical between TME_SIMD=scalar and native.
     PairBatch batch;
-    batch.reserve(kFlushPairs + 64);
-    auto flush = [&] {
-      if (batch.size() == 0) return;
-      batch.finalize(width);
-      evaluate_pair_batch(batch, kernel_cfg, mode);
-      const std::size_t np = batch.size();
-      for (std::size_t i = 0; i < np; ++i) {
-        part.energy_coulomb += batch.e_coul[i];
-        part.energy_lj += batch.e_lj[i];
-        const double f_over_r = batch.f_over_r[i];
-        const Vec3 fij{f_over_r * batch.dx[i], f_over_r * batch.dy[i],
-                       f_over_r * batch.dz[i]};
-        part.forces[batch.ia[i]] += fij;
-        part.forces[batch.ib[i]] -= fij;
-      }
-      part.pairs += np;
-      batch.clear();
-    };
-    auto pair = [&](std::size_t ka, std::size_t kb) {
-      const double dx = min_image(sx[ka] - sx[kb], box.lengths.x);
-      const double dy = min_image(sy[ka] - sy[kb], box.lengths.y);
-      const double dz = min_image(sz[ka] - sz[kb], box.lengths.z);
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 >= cutoff2 || r2 == 0.0) return;
-      if (topology.excluded(orig[ka], orig[kb])) return;
-      const MixedLj& m = mix[stype[ka] * ntypes + stype[kb]];
-      batch.push(dx, dy, dz, r2, constants::kCoulomb * sq[ka] * sq[kb], m.c6,
-                 m.c12, m.e_shift, static_cast<std::uint32_t>(ka),
-                 static_cast<std::uint32_t>(kb));
-      if (batch.size() >= kFlushPairs) flush();
-    };
-
     const std::size_t c_begin = b * chunk;
-    const std::size_t c_end = std::min(c_begin + chunk, ncells);
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-      // Pairs within the cell.
-      for (std::size_t ka = cstart[c]; ka < cstart[c + 1]; ++ka) {
-        for (std::size_t kb = ka + 1; kb < cstart[c + 1]; ++kb) pair(ka, kb);
-      }
-      // Pairs with the 13 forward neighbour cells; cross-batch neighbours
-      // accumulate into this batch's private buffer, so no writes conflict.
-      for (const std::size_t nc : stencil[c]) {
-        for (std::size_t ka = cstart[c]; ka < cstart[c + 1]; ++ka) {
-          for (std::size_t kb = cstart[nc]; kb < cstart[nc + 1]; ++kb) pair(ka, kb);
-        }
-      }
-    }
-    flush();
+    sweep_cells(in, c_begin, std::min(c_begin + chunk, ncells), batch, part, mode_);
   });
 
   // --- deterministic reduction (fixed batch order) -------------------------
@@ -215,13 +160,14 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
     parallel_for(pool, 0, n, [&](std::size_t k) {
       Vec3 acc{};
       for (std::size_t b = 0; b < nb; ++b) acc += partials[b].forces[k];
-      system.forces[orig[k]] += acc;
+      system.forces[in.orig[k]] += acc;
     });
   }
   for (std::size_t b = 0; b < nb; ++b) {
     out.energy_coulomb += partials[b].energy_coulomb;
     out.energy_lj += partials[b].energy_lj;
     out.pair_count += partials[b].pairs;
+    out.pairs_examined += partials[b].examined;
   }
 
   // Newton's-third-law ABFT check: the pair kernel writes +fij/-fij, so the
@@ -253,6 +199,7 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
   }
 
   TME_COUNTER_ADD("short_range/pairs", out.pair_count);
+  TME_COUNTER_ADD("short_range/pairs_examined", out.pairs_examined);
   TME_GAUGE_SET("short_range/batches", nb);
   return out;
 }

@@ -10,16 +10,22 @@
 //  - per-type Lennard-Jones parameters are precombined into a flat mixing
 //    table (4εσ⁶, 4εσ¹², cutoff shift) instead of re-deriving
 //    Lorentz–Berthelot and σ⁶ powers inside the pair loop;
-//  - the erfc Coulomb kernel can run through a segmented-polynomial table in
+//  - the erfc Coulomb kernel runs through a segmented-polynomial table in
 //    r² (ewald/force_table.hpp), the pipelines' table-lookup function
-//    evaluator, or analytically (CoulombKernel in the params);
-//  - filtered pairs are buffered into SoA batches and evaluated W at a time
-//    by the portable SIMD kernel (md/short_range_kernels.hpp); the W = 1
-//    scalar twin (TME_SIMD=scalar) is bitwise identical;
+//    evaluator — the default — or analytically (CoulombKernel in the
+//    params);
+//  - each atom's neighbour-cell j-runs are distance-filtered W candidates at
+//    a time, and the kept pairs are buffered into SoA batches evaluated W at
+//    a time by the portable SIMD kernel (md/short_range_kernels.hpp); the
+//    W = 1 scalar twin (TME_SIMD=scalar) is bitwise identical;
 //  - cells are traversed in parallel batches with thread-private
 //    force/energy/virial-style accumulators, reduced in fixed batch order so
 //    a given pool size always reproduces the same bits (different pool sizes
 //    agree to floating-point reassociation, ~1e-15 relative).
+//
+// The engine is stateless: every call rebuilds its cell list and buffers
+// from the positions, so a call's result depends only on its inputs (no
+// pair list whose build step would leak into the bits of later steps).
 #pragma once
 
 #include <memory>
