@@ -192,7 +192,11 @@ CoulombResult Tme::compute(std::span<const Vec3> positions,
         assigner_.back_interpolate(potential, positions, charges, &out.forces);
   }
   out.energy_reciprocal = 0.5 * q_phi;
+  finish_energy(charges, out);
+  return out;
+}
 
+void Tme::finish_energy(std::span<const double> charges, CoulombResult& out) const {
   if (params_.subtract_self) {
     double q2 = 0.0;
     for (const double q : charges) q2 += q * q;
@@ -207,7 +211,6 @@ CoulombResult Tme::compute(std::span<const Vec3> positions,
   out.energy_background = net_charge_background_energy(
       q_total, top_->params().alpha, box_.volume());
   out.energy = out.energy_reciprocal + out.energy_self + out.energy_background;
-  return out;
 }
 
 }  // namespace tme

@@ -72,6 +72,11 @@ class Tme {
   // the fixed-point hardware-faithful variant.
   Grid3d solve_potential(const Grid3d& finest_charges, TmeTrace* trace = nullptr) const;
 
+  // Sets out.energy_self, out.energy_background and out.energy from the
+  // charges and out.energy_reciprocal.  The distributed TME finishes its
+  // result through this too, so the two solvers' energy terms are one code.
+  void finish_energy(std::span<const double> charges, CoulombResult& out) const;
+
   GridDims level_dims(int level) const;  // level = 1 .. L+1
 
   // The exact periodic top-level kernel (dense mode only; empty otherwise).

@@ -1,5 +1,6 @@
 #include "par/par_tme.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -63,6 +64,58 @@ void log_transfer(TrafficLog* log, const std::string& phase, std::size_t words,
   }
 }
 
+// One piece of a halo axis that lives in a single owner block: halo cells
+// [offset, offset + length) are the owner's local cells [local, local + length).
+struct AxisRun {
+  std::size_t offset, length, owner, local;
+};
+
+// Splits the global cells [start, start + extent) of an axis of `period`
+// cells, cut into blocks of `block`, into owner-block runs in offset order:
+// at most ceil(extent / block) + 1 of them, and a halo wider than the period
+// visits an owner once per wrap.
+std::vector<AxisRun> axis_runs(long start, std::size_t extent, std::size_t period,
+                               std::size_t block) {
+  std::vector<AxisRun> runs;
+  std::size_t w = Grid3d::wrap(start, period);
+  for (std::size_t i = 0; i < extent;) {
+    const std::size_t local = w % block;
+    const std::size_t length = std::min(extent - i, block - local);
+    runs.push_back({i, length, w / block, local});
+    i += length;
+    w = (w + length) % period;
+  }
+  return runs;
+}
+
+// Visits a halo row by row in plain z -> y -> x cell order, one owner-block
+// run at a time: fn(owner node, halo index of the run's first cell, owner
+// block index of it, run length).  Both indices address contiguous x rows.
+template <class Fn>
+void for_each_run(const GridDecomposition& decomp, const ExtendedBlock& halo, Fn&& fn) {
+  const GridDims& global = decomp.global();
+  const GridDims& local = decomp.local();
+  const TorusTopology& topo = decomp.topology();
+  const std::vector<AxisRun> xs = axis_runs(halo.x0, halo.nx, global.nx, local.nx);
+  const std::vector<AxisRun> ys = axis_runs(halo.y0, halo.ny, global.ny, local.ny);
+  const std::vector<AxisRun> zs = axis_runs(halo.z0, halo.nz, global.nz, local.nz);
+  for (const AxisRun& z : zs) {
+    for (std::size_t dz = 0; dz < z.length; ++dz) {
+      for (const AxisRun& y : ys) {
+        for (std::size_t dy = 0; dy < y.length; ++dy) {
+          const std::size_t halo_row = ((z.offset + dz) * halo.ny + y.offset + dy) * halo.nx;
+          const std::size_t block_row =
+              ((z.local + dz) * local.ny + y.local + dy) * local.nx;
+          for (const AxisRun& x : xs) {
+            fn(topo.index({x.owner, y.owner, z.owner}), halo_row + x.offset,
+               block_row + x.local, x.length);
+          }
+        }
+      }
+    }
+  }
+}
+
 // Fill a node's extended buffer from the distributed grid; every cell that
 // lives on another node is a received word.  Messages are grouped by source
 // node, hops measured on the torus.
@@ -70,25 +123,14 @@ void import_halo(const DistributedGrid& grid, const GridDecomposition& decomp,
                  const NodeCoord& me, ExtendedBlock& buffer,
                  const std::string& phase, TrafficLog* log,
                  const FaultContext& ctx = {}) {
-  const GridDims& local = decomp.local();
   const TorusTopology& topo = decomp.topology();
   const std::size_t me_idx = topo.index(me);
   std::vector<std::size_t> words_from(topo.node_count(), 0);
-
-  for (long gz = buffer.z0; gz < buffer.z0 + static_cast<long>(buffer.nz); ++gz) {
-    for (long gy = buffer.y0; gy < buffer.y0 + static_cast<long>(buffer.ny); ++gy) {
-      for (long gx = buffer.x0; gx < buffer.x0 + static_cast<long>(buffer.nx); ++gx) {
-        const NodeCoord src = decomp.owner(gx, gy, gz);
-        const std::size_t src_idx = topo.index(src);
-        const Grid3d& blk = grid.block(src_idx);
-        const std::size_t lx = Grid3d::wrap(gx, decomp.global().nx) % local.nx;
-        const std::size_t ly = Grid3d::wrap(gy, decomp.global().ny) % local.ny;
-        const std::size_t lz = Grid3d::wrap(gz, decomp.global().nz) % local.nz;
-        buffer.at(gx, gy, gz) = blk.at(lx, ly, lz);
-        if (src_idx != me_idx) ++words_from[src_idx];
-      }
-    }
-  }
+  for_each_run(decomp, buffer, [&](std::size_t src, std::size_t at, std::size_t from,
+                                   std::size_t n) {
+    std::copy_n(grid.block(src).data() + from, n, buffer.data.data() + at);
+    if (src != me_idx) words_from[src] += n;
+  });
   if (log != nullptr) {
     for (std::size_t src = 0; src < words_from.size(); ++src) {
       if (words_from[src] == 0) continue;
@@ -99,32 +141,28 @@ void import_halo(const DistributedGrid& grid, const GridDecomposition& decomp,
 
 // Scatter-accumulate a node's sleeved buffer back into the distributed grid
 // (used by CA: contributions written outside the owned block travel to the
-// neighbour that owns them).
+// neighbour that owns them).  Zero cells are neither added nor sent, and
+// cells are added in the buffer's own order, so a sleeve that wraps onto a
+// cell twice sums in the same order as a plain cell loop.
 void export_sleeves(DistributedGrid& grid, const GridDecomposition& decomp,
                     const NodeCoord& me, const ExtendedBlock& buffer,
                     const std::string& phase, TrafficLog* log,
                     const FaultContext& ctx = {}) {
-  const GridDims& local = decomp.local();
   const TorusTopology& topo = decomp.topology();
   const std::size_t me_idx = topo.index(me);
   std::vector<std::size_t> words_to(topo.node_count(), 0);
-
-  for (long gz = buffer.z0; gz < buffer.z0 + static_cast<long>(buffer.nz); ++gz) {
-    for (long gy = buffer.y0; gy < buffer.y0 + static_cast<long>(buffer.ny); ++gy) {
-      for (long gx = buffer.x0; gx < buffer.x0 + static_cast<long>(buffer.nx); ++gx) {
-        const double v = buffer.at(gx, gy, gz);
-        if (v == 0.0) continue;
-        const NodeCoord dst = decomp.owner(gx, gy, gz);
-        const std::size_t dst_idx = topo.index(dst);
-        Grid3d& blk = grid.block(dst_idx);
-        const std::size_t lx = Grid3d::wrap(gx, decomp.global().nx) % local.nx;
-        const std::size_t ly = Grid3d::wrap(gy, decomp.global().ny) % local.ny;
-        const std::size_t lz = Grid3d::wrap(gz, decomp.global().nz) % local.nz;
-        blk.at(lx, ly, lz) += v;
-        if (dst_idx != me_idx) ++words_to[dst_idx];
-      }
+  for_each_run(decomp, buffer, [&](std::size_t dst, std::size_t at, std::size_t to,
+                                   std::size_t n) {
+    const double* src = buffer.data.data() + at;
+    double* out = grid.block(dst).data() + to;
+    std::size_t sent = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (src[i] == 0.0) continue;
+      out[i] += src[i];
+      ++sent;
     }
-  }
+    if (dst != me_idx) words_to[dst] += sent;
+  });
   if (log != nullptr) {
     for (std::size_t dst = 0; dst < words_to.size(); ++dst) {
       if (words_to[dst] == 0) continue;
@@ -140,6 +178,19 @@ void export_sleeves(DistributedGrid& grid, const GridDecomposition& decomp,
 DistributedGrid::DistributedGrid(const GridDecomposition& decomp)
     : decomp_(&decomp) {
   blocks_.assign(decomp.node_count(), Grid3d(decomp.local()));
+}
+
+DistributedGrid::DistributedGrid(const GridDecomposition& decomp,
+                                 std::vector<Grid3d> blocks)
+    : decomp_(&decomp), blocks_(std::move(blocks)) {
+  if (blocks_.size() != decomp.node_count()) {
+    throw std::invalid_argument("DistributedGrid: one block per node required");
+  }
+  for (const Grid3d& b : blocks_) {
+    if (!(b.dims() == decomp.local())) {
+      throw std::invalid_argument("DistributedGrid: block dims mismatch");
+    }
+  }
 }
 
 Grid3d DistributedGrid::assemble() const {
@@ -239,13 +290,14 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
   const int gc = params.grid_cutoff;
 
   // -- Downward pass: restrictions -------------------------------------------
-  std::vector<DistributedGrid> q(static_cast<std::size_t>(levels) + 1);
-  q[0] = finest_charges;
+  // q[k] holds level k + 1's charges; the finest are the caller's own grid.
+  std::vector<DistributedGrid> restricted;
+  restricted.reserve(static_cast<std::size_t>(levels));
+  std::vector<const DistributedGrid*> q{&finest_charges};
   for (int l = 1; l <= levels; ++l) {
     TME_PHASE("restriction");
     const GridDecomposition& fine_d = level_decomp_[static_cast<std::size_t>(l - 1)];
     const GridDecomposition& coarse_d = level_decomp_[static_cast<std::size_t>(l)];
-    DistributedGrid coarse(coarse_d);
     const int half_p = p / 2;
     std::vector<GridBlockTask> tasks;
     tasks.reserve(topo_.node_count());
@@ -260,19 +312,15 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
       const long fz0 = 2 * static_cast<long>(coarse_d.origin_z(me)) - half_p;
       t.halo.reset(fx0, fy0, fz0, 2 * coarse_d.local().nx + p,
                    2 * coarse_d.local().ny + p, 2 * coarse_d.local().nz + p);
-      import_halo(q[static_cast<std::size_t>(l - 1)], fine_d, me, t.halo,
-                  "restriction halo", log, ctx);
+      import_halo(*q.back(), fine_d, me, t.halo, "restriction halo", log, ctx);
       t.ox = static_cast<long>(coarse_d.origin_x(me));
       t.oy = static_cast<long>(coarse_d.origin_y(me));
       t.oz = static_cast<long>(coarse_d.origin_z(me));
       t.out_dims = coarse_d.local();
       tasks.push_back(std::move(t));
     }
-    std::vector<Grid3d> blocks = exec.run_grid(std::move(tasks));
-    for (std::size_t n = 0; n < topo_.node_count(); ++n) {
-      coarse.block(n) = std::move(blocks[n]);
-    }
-    q[static_cast<std::size_t>(l)] = std::move(coarse);
+    restricted.emplace_back(coarse_d, exec.run_grid(std::move(tasks)));
+    q.push_back(&restricted.back());
   }
 
   // -- Top level: gather to the root, FFT convolution, broadcast back --------
@@ -280,7 +328,7 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
   DistributedGrid phi;
   {
     TME_PHASE("top_fft");
-    Grid3d top_global = q[static_cast<std::size_t>(levels)].assemble();
+    Grid3d top_global = q.back()->assemble();
     if (log != nullptr) {
       // Every non-root node ships its block up the tree and receives the
       // potentials back (paper Sec. IV.C octree; hop count = torus distance to
@@ -302,7 +350,7 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
     const int half_p = p / 2;
 
     // Prolongation: fine cell n needs coarse cells m with |n - 2m| <= p/2.
-    DistributedGrid fine_phi(fine_d);
+    DistributedGrid fine_phi;
     {
     TME_PHASE("prolongation");
     std::vector<GridBlockTask> tasks;
@@ -329,10 +377,7 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
       t.out_dims = fine_d.local();
       tasks.push_back(std::move(t));
     }
-    std::vector<Grid3d> blocks = exec.run_grid(std::move(tasks));
-    for (std::size_t n = 0; n < topo_.node_count(); ++n) {
-      fine_phi.block(n) = std::move(blocks[n]);
-    }
+    fine_phi = DistributedGrid(fine_d, exec.run_grid(std::move(tasks)));
     }  // prolongation phase
 
     // Separable level convolution: x, then y, then z axis passes; the
@@ -340,12 +385,13 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
     TME_PHASE("convolution");
     const std::vector<SeparableTerm>& kernels = tme_.level_kernels(l);
     const std::size_t m_terms = kernels.size();
+    const std::size_t nodes = topo_.node_count();
     const GridDims& local = fine_d.local();
     const std::size_t level_nx = fine_d.global().nx;
     const std::size_t level_ny = fine_d.global().ny;
     const std::size_t level_nz = fine_d.global().nz;
 
-    std::vector<DistributedGrid> work(m_terms, DistributedGrid(fine_d));
+    std::vector<DistributedGrid> work;  // one per term, after each axis pass
     for (int axis = 0; axis < 3; ++axis) {
       // Halo extent along the convolved axis, clamped to the level period.
       const std::size_t n_axis = axis == 0 ? level_nx : (axis == 1 ? level_ny : level_nz);
@@ -355,15 +401,15 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
       // One task per (node, output term), in node-major order.  On the x
       // pass all M outputs convolve the same single input halo (imported —
       // and logged — once per node); on y/z each term has its own.
-      std::vector<GridBlockTask> tasks(topo_.node_count() * m_terms);
-      for (std::size_t n = 0; n < topo_.node_count(); ++n) {
+      std::vector<GridBlockTask> tasks(nodes * m_terms);
+      for (std::size_t n = 0; n < nodes; ++n) {
         const NodeCoord me = topo_.coord(n);
         const long ox = static_cast<long>(fine_d.origin_x(me));
         const long oy = static_cast<long>(fine_d.origin_y(me));
         const long oz = static_cast<long>(fine_d.origin_z(me));
         for (std::size_t term = 0; term < inputs; ++term) {
-          const DistributedGrid& src =
-              axis == 0 ? q[static_cast<std::size_t>(l - 1)] : work[term];
+          const DistributedGrid& src = axis == 0 ? *q[static_cast<std::size_t>(l - 1)]
+                                                 : work[term];
 
           ExtendedBlock halo;
           switch (axis) {
@@ -390,7 +436,6 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
             GridBlockTask& t = tasks[n * m_terms + out_t];
             t.kind = GridBlockTask::Kind::kConvolve;
             t.node = n;
-            t.halo = halo;
             t.ox = ox;
             t.oy = oy;
             t.oz = oz;
@@ -398,23 +443,31 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
             t.axis = axis;
             t.level = l;
             t.term = out_t;
+            // The last task takes the halo; the x pass's others copy it.
+            if (out_t + 1 < out_terms_end) {
+              t.halo = halo;
+            } else {
+              t.halo = std::move(halo);
+            }
           }
         }
       }
       std::vector<Grid3d> blocks = exec.run_grid(std::move(tasks));
-      std::vector<DistributedGrid> next(m_terms, DistributedGrid(fine_d));
-      for (std::size_t n = 0; n < topo_.node_count(); ++n) {
-        for (std::size_t term = 0; term < m_terms; ++term) {
-          next[term].block(n) = std::move(blocks[n * m_terms + term]);
+      std::vector<std::vector<Grid3d>> term_blocks(m_terms);
+      for (std::size_t term = 0; term < m_terms; ++term) {
+        term_blocks[term].reserve(nodes);
+        for (std::size_t n = 0; n < nodes; ++n) {
+          term_blocks[term].push_back(std::move(blocks[n * m_terms + term]));
         }
       }
-      work = std::move(next);
+      work.clear();
+      for (std::vector<Grid3d>& b : term_blocks) work.emplace_back(fine_d, std::move(b));
     }
 
     // Accumulate the M terms into the prolonged potential with the level
     // prefactor (Eq. 9), through convolve_tensor's own accumulation.
     const double scale = constants::kCoulomb / std::ldexp(1.0, l - 1);
-    for (std::size_t n = 0; n < topo_.node_count(); ++n) {
+    for (std::size_t n = 0; n < nodes; ++n) {
       for (std::size_t term = 0; term < m_terms; ++term) {
         axpy(scale, work[term].block(n), fine_phi.block(n));
       }
@@ -514,12 +567,7 @@ CoulombResult ParallelTme::compute(std::span<const Vec3> positions,
   }
   }  // back_interpolation phase
   out.energy_reciprocal = 0.5 * q_phi;
-  if (params.subtract_self) {
-    double q2 = 0.0;
-    for (const double qi : charges) q2 += qi * qi;
-    out.energy_self = -constants::kCoulomb * params.alpha / std::sqrt(M_PI) * q2;
-  }
-  out.energy = out.energy_reciprocal + out.energy_self;
+  tme_.finish_energy(charges, out);
   return out;
 }
 

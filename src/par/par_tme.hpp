@@ -45,6 +45,9 @@ class DistributedGrid {
  public:
   DistributedGrid() = default;
   explicit DistributedGrid(const GridDecomposition& decomp);
+  // Takes per-node blocks in node order, each of the decomposition's local
+  // extents (throws std::invalid_argument otherwise).
+  DistributedGrid(const GridDecomposition& decomp, std::vector<Grid3d> blocks);
 
   const GridDecomposition& decomposition() const { return *decomp_; }
   Grid3d& block(std::size_t node) { return blocks_[node]; }

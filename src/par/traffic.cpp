@@ -9,26 +9,31 @@ namespace tme::par {
 
 void TrafficLog::add(const std::string& phase, std::size_t messages,
                      std::size_t words, std::size_t hops) {
-  // Mirror every logged transfer into the global metrics registry (totals
-  // plus a per-phase word gauge-style counter with spaces normalised).
-  if constexpr (obs::kMetricsEnabled) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("par/traffic/messages").add(messages);
-    reg.counter("par/traffic/words").add(words);
-    std::string key = phase;
-    std::replace(key.begin(), key.end(), ' ', '_');
-    reg.counter("par/traffic/" + key + "/words").add(words);
-  }
-  for (PhaseTraffic& p : phases_) {
-    if (p.phase == phase) {
-      p.messages += messages;
-      p.words += words;
-      p.max_hops = std::max(p.max_hops, hops);
-      p.word_hops += words * hops;
-      return;
+  std::size_t i = 0;
+  while (i < phases_.size() && phases_[i].phase != phase) ++i;
+  if (i == phases_.size()) {
+    phases_.push_back({phase, 0, 0, 0, 0});
+    obs::Counter* counter = nullptr;
+    if constexpr (obs::kMetricsEnabled) {
+      std::string key = phase;
+      std::replace(key.begin(), key.end(), ' ', '_');
+      counter = &obs::Registry::global().counter("par/traffic/" + key + "/words");
     }
+    phase_words_.push_back(counter);
   }
-  phases_.push_back({phase, messages, words, hops, words * hops});
+  PhaseTraffic& p = phases_[i];
+  p.messages += messages;
+  p.words += words;
+  p.max_hops = std::max(p.max_hops, hops);
+  p.word_hops += words * hops;
+  if constexpr (obs::kMetricsEnabled) {
+    static obs::Counter& total_messages =
+        obs::Registry::global().counter("par/traffic/messages");
+    static obs::Counter& total_words = obs::Registry::global().counter("par/traffic/words");
+    total_messages.add(messages);
+    total_words.add(words);
+    phase_words_[i]->add(words);
+  }
 }
 
 std::size_t TrafficLog::total_words() const {

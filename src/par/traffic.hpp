@@ -9,6 +9,10 @@
 #include <string>
 #include <vector>
 
+namespace tme::obs {
+class Counter;
+}
+
 namespace tme::par {
 
 struct PhaseTraffic {
@@ -24,7 +28,8 @@ struct PhaseTraffic {
 
 class TrafficLog {
  public:
-  // Accumulates into the named phase (created on first use, order kept).
+  // Accumulates into the named phase (created on first use, order kept) and
+  // mirrors the transfer into the metrics registry's par/traffic/* counters.
   void add(const std::string& phase, std::size_t messages, std::size_t words,
            std::size_t hops);
 
@@ -40,6 +45,10 @@ class TrafficLog {
 
  private:
   std::vector<PhaseTraffic> phases_;
+  // Registry counter par/traffic/<phase>/words of each phase, resolved when
+  // the phase is first seen (null with metrics compiled out).  Registry
+  // counters are never erased, so the handles outlive any log.
+  std::vector<obs::Counter*> phase_words_;
 };
 
 }  // namespace tme::par

@@ -1,7 +1,8 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -144,8 +145,11 @@ unsigned pool_workers_from_env(const char* text, unsigned hardware_threads) {
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool(pool_workers_from_env(
-      std::getenv("TME_THREADS"), std::thread::hardware_concurrency()));
+  static ThreadPool pool([] {
+    const std::optional<std::string> text = env::raw("TME_THREADS");
+    return pool_workers_from_env(text ? text->c_str() : nullptr,
+                                 std::thread::hardware_concurrency());
+  }());
   static const bool recorded = [] {
     obs::manifest_set("pool_threads", static_cast<double>(pool.concurrency()));
     return true;

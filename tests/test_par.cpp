@@ -1,18 +1,29 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/cost_model.hpp"
 #include "core/tme.hpp"
+#include "core/tuning.hpp"
 #include "ewald/splitting.hpp"
 #include "grid/transfer.hpp"
+#include "md/water_box.hpp"
+#include "obs/manifest.hpp"
+#include "obs/metrics.hpp"
 #include "par/decomposition.hpp"
 #include "par/executor.hpp"
 #include "par/par_tme.hpp"
 #include "grid/separable_conv.hpp"
 #include "par/traffic.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tme::par {
 namespace {
@@ -48,6 +59,58 @@ TmeParams default_params(double alpha) {
   tp.grid_cutoff = 8;
   tp.num_gaussians = 4;
   return tp;
+}
+
+// FNV-1a over the bytes of a result's forces and the given energies: a
+// bitwise fingerprint, so a pinned value catches any change in summation
+// order.
+std::uint64_t result_hash(const CoulombResult& r, std::initializer_list<double> energies) {
+  std::uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](double v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const Vec3& f : r.forces) {
+    mix(f.x);
+    mix(f.y);
+    mix(f.z);
+  }
+  for (const double e : energies) mix(e);
+  return h;
+}
+
+// A pinned fingerprint per kernel instantiation.  Back-interpolation's native
+// gather reassociates its sums (the documented relaxation of the SIMD parity
+// contract, util/simd.hpp), so scalar and native mode have their own bits;
+// values are pinned for FMA builds at 1 lane (scalar) and 8 lanes (AVX-512).
+// They hold for the default Release build only: C++ code is compiled with
+// the compiler's default floating-point contraction, so another optimisation
+// level or sanitizer instrumentation fuses the top-level SPME solve
+// differently and moves its bits.
+struct PinnedHash {
+  std::uint64_t scalar, native8;
+};
+
+std::optional<std::uint64_t> pinned_for_this_build(const PinnedHash& p) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return std::nullopt;
+#endif
+  if (!simd::kFmaFused ||
+      obs::manifest_json().at("build_type").as_string() != "Release") {
+    return std::nullopt;
+  }
+  switch (simd::lanes(simd::mode_from_env())) {
+    case 1:
+      return p.scalar;
+    case 8:
+      return p.native8;
+    default:
+      return std::nullopt;
+  }
 }
 
 // --- decomposition -----------------------------------------------------------
@@ -242,6 +305,151 @@ TEST_F(ParallelTmeTest, TransferPhasesAreCheapRelativeToConvolution) {
   EXPECT_GT(log.words_in("CA sleeve exchange"), 0u);
   EXPECT_GT(log.words_in("BI grid transfer"), 0u);
   EXPECT_GT(log.words_in("TMENW gather"), 0u);
+}
+
+TEST_F(ParallelTmeTest, NetChargeBackgroundMatchesSerial) {
+  // Both solvers drop the top level's k = 0 mode, so a charged cell carries
+  // the neutralising-background term in both.
+  TestSystem sys = sys_;
+  sys.charges[0] += 1.0;
+  const ParallelTme par(sys.box, default_params(alpha_), TorusTopology(2, 2, 2));
+  const CoulombResult serial = par.serial().compute(sys.positions, sys.charges);
+  const CoulombResult parallel = par.compute(sys.positions, sys.charges, nullptr);
+  EXPECT_LT(serial.energy_background, 0.0);
+  EXPECT_EQ(parallel.energy_background, serial.energy_background);
+  EXPECT_EQ(parallel.energy_self, serial.energy_self);
+  EXPECT_NEAR(parallel.energy, serial.energy, 1e-9 * std::abs(serial.energy));
+}
+
+// The messages, words and word-hops the torus carries for one compute on a
+// fixed seeded system, per phase and in logging order.  The values are those
+// of the per-cell halo code the owner-block runs replaced.
+TEST_F(ParallelTmeTest, TrafficIsPinnedPerPhase) {
+  struct Phase {
+    const char* name;
+    std::size_t messages, words, word_hops, max_hops;
+  };
+  const Phase expected[] = {
+      {"CA sleeve exchange", 3579, 57413, 87004, 3},
+      {"restriction halo", 13312, 479232, 921600, 3},
+      {"TMENW gather", 511, 4088, 24576, 12},
+      {"TMENW scatter", 511, 4088, 24576, 12},
+      {"prolongation halo", 32256, 171520, 451584, 6},
+      {"level convolution", 18432, 1179648, 1769472, 2},
+      {"BI grid transfer", 13312, 851968, 1769472, 3},
+  };
+  const ParallelTme par(sys_.box, default_params(alpha_), TorusTopology(8, 8, 8));
+  TrafficLog log;
+  (void)par.compute(sys_.positions, sys_.charges, &log);
+  ASSERT_EQ(log.phases().size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const PhaseTraffic& got = log.phases()[i];
+    EXPECT_EQ(got.phase, expected[i].name);
+    EXPECT_EQ(got.messages, expected[i].messages) << got.phase;
+    EXPECT_EQ(got.words, expected[i].words) << got.phase;
+    EXPECT_EQ(got.word_hops, expected[i].word_hops) << got.phase;
+    EXPECT_EQ(got.max_hops, expected[i].max_hops) << got.phase;
+  }
+}
+
+TEST_F(ParallelTmeTest, TrafficCountersMirrorTheLogPerPhase) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  const ParallelTme par(sys_.box, default_params(alpha_), TorusTopology(4, 4, 4));
+  TrafficLog log;
+  (void)par.compute(sys_.positions, sys_.charges, &log);
+  EXPECT_EQ(reg.counter("par/traffic/messages").value(), log.total_messages());
+  EXPECT_EQ(reg.counter("par/traffic/words").value(), log.total_words());
+  for (const PhaseTraffic& p : log.phases()) {
+    std::string key = p.phase;
+    std::replace(key.begin(), key.end(), ' ', '_');
+    EXPECT_EQ(reg.counter("par/traffic/" + key + "/words").value(), p.words) << p.phase;
+  }
+}
+
+// Halos wider than a whole level period: every halo cell still resolves to
+// its owner's block (a block may feed one halo more than once), and CA
+// sleeves that land on one cell twice accumulate in cell order.
+TEST(ParallelTmeWideHalo, MatchesSerialWhenHalosExceedAPeriod) {
+  struct Case {
+    const char* name;
+    std::size_t grid;
+    int order, grid_cutoff;
+    std::size_t nx, ny, nz;
+    PinnedHash hash;  // forces and reciprocal energy
+  };
+  const Case cases[] = {
+      // CA/BI sleeve 4 over 2-cell blocks; level-convolution halo 18 on period 16.
+      {"p6 16^3 on 8x8x8", 16, 6, 8, 8, 8, 8,
+       {0x273c734512587859ULL, 0x2c16393573b222d1ULL}},
+      // Prolongation halo 5 on coarse period 4; convolution halo 12 on period 8.
+      {"p4 8^3 on 4x4x4", 8, 4, 5, 4, 4, 4,
+       {0x004d443af91d4d62ULL, 0x9568f065a1371e16ULL}},
+      // CA/BI buffers 10 (two owners) and 14 (one owner) on period 8.
+      {"p4 8^3 on 4x2x1", 8, 4, 3, 4, 2, 1,
+       {0xed70e13bca07ef35ULL, 0xe45eee2a7ea79ba4ULL}},
+  };
+  const TestSystem sys = random_system(48, 3.2, 17);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TmeParams tp;
+    tp.order = c.order;
+    tp.grid = {c.grid, c.grid, c.grid};
+    tp.alpha = 0.75 * static_cast<double>(c.grid) / sys.box.lengths.x;
+    tp.levels = 1;
+    tp.grid_cutoff = c.grid_cutoff;
+    tp.num_gaussians = 2;
+    const ParallelTme par(sys.box, tp, TorusTopology(c.nx, c.ny, c.nz));
+
+    Grid3d q(tp.grid);
+    Rng rng(9);
+    for (std::size_t i = 0; i < q.size(); ++i) q[i] = rng.uniform(-1.0, 1.0);
+    const Grid3d serial_phi = par.serial().solve_potential(q);
+    const GridDecomposition decomp(tp.grid, par.topology());
+    const Grid3d par_phi =
+        par.solve_potential(DistributedGrid::distribute(q, decomp), nullptr).assemble();
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < serial_phi.size(); ++i) {
+      if (par_phi[i] != serial_phi[i]) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    const CoulombResult serial = par.serial().compute(sys.positions, sys.charges);
+    const CoulombResult parallel = par.compute(sys.positions, sys.charges, nullptr);
+    EXPECT_NEAR(parallel.energy, serial.energy, 1e-9 * std::abs(serial.energy));
+    double worst = 0.0, scale = 0.0;
+    for (std::size_t i = 0; i < serial.forces.size(); ++i) {
+      worst = std::max(worst, norm(parallel.forces[i] - serial.forces[i]));
+      scale = std::max(scale, norm(serial.forces[i]));
+    }
+    EXPECT_LT(worst, 1e-10 * scale);
+    const std::uint64_t h = result_hash(parallel, {parallel.energy_reciprocal});
+    if (const auto pinned = pinned_for_this_build(c.hash)) {
+      EXPECT_EQ(h, *pinned) << std::hex << "0x" << h;
+    }
+  }
+}
+
+// Forces and energy on the stepbench lr_torus box (3,620 TIP3P molecules,
+// seed 1, tuned for r_c = 0.6 nm, 8x8x8 torus), pinned bit for bit under
+// both TME_SIMD modes.
+TEST(ParallelTmeBitwise, StepbenchBoxMatchesPinnedHash) {
+  const auto pinned =
+      pinned_for_this_build({0xe8fafa59a8ddccc6ULL, 0xa1dd022f70e69a7fULL});
+  if (!pinned) GTEST_SKIP() << "no pinned value for this build or SIMD width";
+  WaterBoxSpec spec;
+  spec.molecules = 3620;
+  spec.seed = 1;
+  const WaterBox wb = build_water_box(spec);
+  TmeTuningRequest request;
+  request.r_cut = 0.6;
+  request.rtol = 1e-4;
+  const TmeParams tp = tune_tme(wb.system.box, request).params;
+  const ParallelTme par(wb.system.box, tp, TorusTopology(8, 8, 8));
+  const CoulombResult r = par.compute(wb.system.positions, wb.system.charges, nullptr);
+  const std::uint64_t h = result_hash(r, {r.energy});
+  EXPECT_EQ(h, *pinned) << std::hex << "0x" << h;
 }
 
 // --- node tasks ----------------------------------------------------------------
