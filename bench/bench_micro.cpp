@@ -1,7 +1,7 @@
-// Google-benchmark microbenchmarks of the numerical kernels: B-spline
-// evaluation (the LRU inner loop), FFT sizes the hardware uses, separable
-// vs dense convolution (the GCU workload), charge assignment and back
-// interpolation throughput.
+// Google-benchmark microbenchmarks of the numerical kernels: batched
+// B-spline evaluation (the LRU's per-particle coefficients), FFT sizes the
+// hardware uses, separable vs dense convolution (the GCU workload), charge
+// assignment and back interpolation throughput.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -12,22 +12,35 @@
 #include "fft/fft3d.hpp"
 #include "grid/separable_conv.hpp"
 #include "spline/bspline.hpp"
+#include "util/simd.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace tme;
 
+// The batched B-spline kernel as BI runs it (weights and derivatives), on
+// one chunk of atom-axes W = simd::kNativeWidth at a time; items are
+// atom-axes.
 void BM_BsplineWeights(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
-  std::vector<double> w(static_cast<std::size_t>(p)), d(w);
+  constexpr int W = simd::kNativeWidth;
+  constexpr std::size_t n = ChargeAssigner::kChunkAtoms;
+  const std::size_t up = static_cast<std::size_t>(p);
   Rng rng(1);
-  double u = rng.uniform(0.0, 100.0);
+  std::vector<double> u(n);
+  for (double& x : u) x = rng.uniform(0.0, 32.0);
+  std::vector<long> m0(n);
+  std::vector<double> w(n * up), d(n * up);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bspline_weights_central(p, u, w, d));
-    u += 0.37;
+    for (std::size_t a = 0; a + W <= n; a += W) {
+      bspline_weights_lanes<W>(p, &u[a], &m0[a], &w[a * up], &d[a * up], up);
+    }
+    benchmark::DoNotOptimize(w.data());
+    benchmark::DoNotOptimize(d.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 BENCHMARK(BM_BsplineWeights)->Arg(4)->Arg(6)->Arg(8);
 

@@ -73,10 +73,24 @@ void gather_line(const double* pm, const double* wx, const double* dx, int p,
 }
 
 // Stored positions of the p support cells base .. base + p - 1 along one
-// axis.  Periodic maps always resolve; a block map fails when the support
-// leaves the block's sleeve.
+// axis.  Atoms are wrapped into the box, so a support cell is at most one
+// period from its stored image and a compare-and-add resolves it; whatever
+// that leaves goes through the map's modulo, which resolves the same cell or
+// fails when the support leaves a block's sleeve.
 void support(const AxisMap& map, long base, int p, std::size_t* ix) {
+  const long extent = static_cast<long>(map.extent);
+  const long period = static_cast<long>(map.period);
   for (int k = 0; k < p; ++k) {
+    long i = base + k - map.origin;
+    if (i < 0) {
+      i += period;
+    } else if (i >= extent) {
+      i -= period;
+    }
+    if (i >= 0 && i < extent) {
+      ix[k] = static_cast<std::size_t>(i);
+      continue;
+    }
     ix[k] = map(base + k);
     if (ix[k] == AxisMap::kOutside) {
       throw std::logic_error("CA/BI: atom support exceeds sleeve");
@@ -85,12 +99,70 @@ void support(const AxisMap& map, long base, int p, std::size_t* ix) {
 }
 
 // A blown-up coordinate (NaN or inf after a diverging step) has no grid
-// cell, and as NaN it would reach bspline_weights' float-to-integer cast.
+// cell, and as NaN it would reach the spline kernel's float-to-integer cast.
 // Such an atom skips the stencil: spreading poisons the grid and gathering
 // gives the atom a NaN energy and force, so the run's guardrail still sees
 // non-finite forces.
 bool on_grid(const Vec3& u) {
   return std::isfinite(u.x) && std::isfinite(u.y) && std::isfinite(u.z);
+}
+
+// Atoms per chunk: at p = 6 the part of ChunkSplines in use is ~20 KB, so it
+// stays in L1 while the stencils read it.
+constexpr std::size_t kChunk = ChargeAssigner::kChunkAtoms;
+
+// One chunk's spline data, per axis: the central base index of each atom's
+// support, and its p weights (and, for BI, derivatives) at stride p.
+struct ChunkSplines {
+  double u[3][kChunk];
+  long base[3][kChunk];
+  bool on_grid[kChunk];
+  double w[3][kChunk * kMaxBsplineOrder];
+  double d[3][kChunk * kMaxBsplineOrder];
+};
+
+// Fills `c` for atoms [first, first + n), at grid spacing h: W atoms at a
+// time through the vector kernel, the tail through its W = 1 twin (bitwise
+// the same per atom).  An off-grid atom is evaluated at 0 and flagged.
+template <int W>
+void fill_chunk(int p, const Box& box, const Vec3& h, std::span<const Vec3> positions,
+                std::size_t first, std::size_t n, bool derivs, ChunkSplines& c) {
+  for (std::size_t a = 0; a < n; ++a) {
+    const Vec3 u = hadamard_div(box.wrap(positions[first + a]), h);
+    c.on_grid[a] = on_grid(u);
+    const Vec3 at = c.on_grid[a] ? u : Vec3{};
+    c.u[0][a] = at.x;
+    c.u[1][a] = at.y;
+    c.u[2][a] = at.z;
+  }
+  const std::size_t up = static_cast<std::size_t>(p);
+  for (int axis = 0; axis < 3; ++axis) {
+    const double* u = c.u[axis];
+    long* base = c.base[axis];
+    double* w = c.w[axis];
+    double* d = derivs ? c.d[axis] : nullptr;
+    std::size_t a = 0;
+    for (; a + W <= n; a += W) {
+      bspline_weights_lanes<W>(p, u + a, base + a, w + a * up,
+                               d != nullptr ? d + a * up : nullptr, up);
+    }
+    for (; a < n; ++a) {
+      bspline_weights_lanes<1>(p, u + a, base + a, w + a * up,
+                               d != nullptr ? d + a * up : nullptr, up);
+    }
+    for (a = 0; a < n; ++a) base[a] += p / 2;
+  }
+}
+
+// fill_chunk at the width `mode` selects.
+void load_chunk(simd::Mode mode, int p, const Box& box, const Vec3& h,
+                std::span<const Vec3> positions, std::size_t first, std::size_t n,
+                bool derivs, ChunkSplines& c) {
+  if (simd::lanes(mode) > 1) {
+    fill_chunk<simd::kNativeWidth>(p, box, h, positions, first, n, derivs, c);
+  } else {
+    fill_chunk<1>(p, box, h, positions, first, n, derivs, c);
+  }
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -116,77 +188,76 @@ std::size_t batch_count(ThreadPool& pool, std::size_t n) {
        std::max<std::size_t>(n, 1), kMaxBatches});
 }
 
-}  // namespace
-
-ChargeAssigner::ChargeAssigner(const Box& box, GridDims dims, int order)
-    : box_(box), dims_(dims), p_(order) {
-  if (order < 2) throw std::invalid_argument("ChargeAssigner: order must be >= 2");
-  if (dims.total() == 0) throw std::invalid_argument("ChargeAssigner: empty grid");
-  h_ = {box.lengths.x / static_cast<double>(dims.nx),
-        box.lengths.y / static_cast<double>(dims.ny),
-        box.lengths.z / static_cast<double>(dims.nz)};
-}
-
-void ChargeAssigner::spread_range(double* grid, const AxisMaps& maps,
-                                  std::span<const Vec3> positions,
-                                  std::span<const double> charges,
-                                  std::size_t first, std::size_t last) const {
-  const int p = p_;
+// The CA stencil of one loaded chunk holding atoms first .. first + n - 1:
+// their charges spread into `grid`.  P is the order when fixed at compile
+// time, 0 for the run-time order p_rt (one body; the compiler unrolls its
+// loops when P is fixed).
+template <int P>
+void spread_chunk(double* grid, const AxisMaps& maps, int p_rt, int width,
+                  const ChunkSplines& c, std::span<const double> charges,
+                  std::size_t first, std::size_t n) {
+  const int p = P > 0 ? P : p_rt;
   const std::size_t up = static_cast<std::size_t>(p);
-  const int width = simd::lanes(simd_mode_);
   const std::size_t nx = maps[0].extent, ny = maps[1].extent;
-  std::vector<double> wx(up), wy(wx), wz(wx);
-  std::vector<std::size_t> ix(up), iy(up), iz(up);
-  for (std::size_t i = first; i < last; ++i) {
-    const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-    if (!on_grid(u)) {
+  std::size_t ix[kMaxBsplineOrder], iy[kMaxBsplineOrder], iz[kMaxBsplineOrder];
+  for (std::size_t a = 0; a < n; ++a) {
+    if (!c.on_grid[a]) {
       grid[0] = kNaN;
       continue;
     }
-    support(maps[0], bspline_weights_central(p, u.x, wx, {}), p, ix.data());
-    support(maps[1], bspline_weights_central(p, u.y, wy, {}), p, iy.data());
-    support(maps[2], bspline_weights_central(p, u.z, wz, {}), p, iz.data());
-    const double q = charges[i];
+    support(maps[0], c.base[0][a], p, ix);
+    support(maps[1], c.base[1][a], p, iy);
+    support(maps[2], c.base[2][a], p, iz);
+    const double* wx = c.w[0] + a * up;
+    const double* wy = c.w[1] + a * up;
+    const double* wz = c.w[2] + a * up;
+    const double q = charges[first + a];
     for (std::size_t kz = 0; kz < up; ++kz) {
       const double qz = q * wz[kz];
       for (std::size_t ky = 0; ky < up; ++ky) {
         const double qyz = qz * wy[ky];
         double* row = grid + (iz[kz] * ny + iy[ky]) * nx;
         if (width > 1) {
-          spread_line<simd::kNativeWidth>(row, ix.data(), p, qyz, wx.data());
+          spread_line<simd::kNativeWidth>(row, ix, p, qyz, wx);
         } else {
-          spread_line<1>(row, ix.data(), p, qyz, wx.data());
+          spread_line<1>(row, ix, p, qyz, wx);
         }
       }
     }
   }
 }
 
-double ChargeAssigner::gather_range(const double* grid, const AxisMaps& maps,
-                                    std::span<const Vec3> positions,
-                                    std::span<const double> charges,
-                                    std::size_t first, std::size_t last,
-                                    std::vector<Vec3>* forces,
-                                    std::vector<double>* phi_out) const {
-  const int p = p_;
+// The BI stencil of one loaded chunk holding atoms first .. first + n - 1:
+// their potentials into phi_out and forces into forces (when not null), and
+// q_i phi_i added to `sum` in atom order.  P as for spread_chunk.
+template <int P>
+void gather_chunk(const double* grid, const AxisMaps& maps, int p_rt, int width,
+                  const Vec3& h, const ChunkSplines& c,
+                  std::span<const double> charges, std::size_t first, std::size_t n,
+                  std::vector<Vec3>* forces, std::vector<double>* phi_out,
+                  double& sum) {
+  const int p = P > 0 ? P : p_rt;
   const std::size_t up = static_cast<std::size_t>(p);
-  const int width = simd::lanes(simd_mode_);
   const std::size_t nx = maps[0].extent, ny = maps[1].extent;
-  std::vector<double> wx(up), wy(wx), wz(wx);
-  std::vector<double> dx(wx), dy(wx), dz(wx), line(wx);
-  std::vector<std::size_t> ix(up), iy(up), iz(up);
-  double sum = 0.0;
-  for (std::size_t i = first; i < last; ++i) {
-    const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-    if (!on_grid(u)) {
+  std::size_t ix[kMaxBsplineOrder], iy[kMaxBsplineOrder], iz[kMaxBsplineOrder];
+  double line[kMaxBsplineOrder];
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::size_t i = first + a;
+    if (!c.on_grid[a]) {
       if (phi_out != nullptr) (*phi_out)[i] = kNaN;
       sum = kNaN;
       if (forces != nullptr) (*forces)[i] += {kNaN, kNaN, kNaN};
       continue;
     }
-    support(maps[0], bspline_weights_central(p, u.x, wx, dx), p, ix.data());
-    support(maps[1], bspline_weights_central(p, u.y, wy, dy), p, iy.data());
-    support(maps[2], bspline_weights_central(p, u.z, wz, dz), p, iz.data());
+    support(maps[0], c.base[0][a], p, ix);
+    support(maps[1], c.base[1][a], p, iy);
+    support(maps[2], c.base[2][a], p, iz);
+    const double* wx = c.w[0] + a * up;
+    const double* wy = c.w[1] + a * up;
+    const double* wz = c.w[2] + a * up;
+    const double* dx = c.d[0] + a * up;
+    const double* dy = c.d[1] + a * up;
+    const double* dz = c.d[2] + a * up;
     double phi = 0.0;
     Vec3 grad{};  // d phi / d u (grid units)
     const bool contiguous = ix[up - 1] == ix[0] + up - 1;
@@ -201,12 +272,11 @@ double ChargeAssigner::gather_range(const double* grid, const AxisMaps& maps,
         if (!contiguous) {
           // A support split in storage: one scalar fma chain over a copy.
           for (std::size_t k = 0; k < up; ++k) line[k] = row[ix[k]];
-          gather_line<1>(line.data(), wx.data(), dx.data(), p, line_v, line_d);
+          gather_line<1>(line, wx, dx, p, line_v, line_d);
         } else if (width > 1) {
-          gather_line<simd::kNativeWidth>(row + ix[0], wx.data(), dx.data(), p,
-                                          line_v, line_d);
+          gather_line<simd::kNativeWidth>(row + ix[0], wx, dx, p, line_v, line_d);
         } else {
-          gather_line<1>(row + ix[0], wx.data(), dx.data(), p, line_v, line_d);
+          gather_line<1>(row + ix[0], wx, dx, p, line_v, line_d);
         }
         phi += line_v * vy * vz;
         grad.x += line_d * vy * vz;
@@ -218,7 +288,64 @@ double ChargeAssigner::gather_range(const double* grid, const AxisMaps& maps,
     sum += charges[i] * phi;
     if (forces != nullptr) {
       const double q = charges[i];
-      (*forces)[i] += {-q * grad.x / h_.x, -q * grad.y / h_.y, -q * grad.z / h_.z};
+      (*forces)[i] += {-q * grad.x / h.x, -q * grad.y / h.y, -q * grad.z / h.z};
+    }
+  }
+}
+
+}  // namespace
+
+ChargeAssigner::ChargeAssigner(const Box& box, GridDims dims, int order)
+    : box_(box), dims_(dims), p_(order) {
+  if (order < 2 || order % 2 != 0) {
+    throw std::invalid_argument("ChargeAssigner: order must be even and >= 2");
+  }
+  if (order > kMaxBsplineOrder) {
+    throw std::invalid_argument("ChargeAssigner: order exceeds kMaxBsplineOrder");
+  }
+  if (dims.total() == 0) throw std::invalid_argument("ChargeAssigner: empty grid");
+  h_ = {box.lengths.x / static_cast<double>(dims.nx),
+        box.lengths.y / static_cast<double>(dims.ny),
+        box.lengths.z / static_cast<double>(dims.nz)};
+}
+
+// The hardware's order (paper Sec. III.B) runs the stencils with p fixed at
+// compile time; every other order runs the same bodies with p at run time.
+void ChargeAssigner::spread_range(double* grid, const AxisMaps& maps,
+                                  std::span<const Vec3> positions,
+                                  std::span<const double> charges,
+                                  std::size_t first, std::size_t last) const {
+  const int width = simd::lanes(simd_mode_);
+  ChunkSplines c;
+  for (std::size_t c0 = first; c0 < last; c0 += kChunk) {
+    const std::size_t n = std::min(kChunk, last - c0);
+    load_chunk(simd_mode_, p_, box_, h_, positions, c0, n, false, c);
+    if (p_ == 6) {
+      spread_chunk<6>(grid, maps, p_, width, c, charges, c0, n);
+    } else {
+      spread_chunk<0>(grid, maps, p_, width, c, charges, c0, n);
+    }
+  }
+}
+
+double ChargeAssigner::gather_range(const double* grid, const AxisMaps& maps,
+                                    std::span<const Vec3> positions,
+                                    std::span<const double> charges,
+                                    std::size_t first, std::size_t last,
+                                    std::vector<Vec3>* forces,
+                                    std::vector<double>* phi_out) const {
+  const int width = simd::lanes(simd_mode_);
+  ChunkSplines c;
+  double sum = 0.0;
+  for (std::size_t c0 = first; c0 < last; c0 += kChunk) {
+    const std::size_t n = std::min(kChunk, last - c0);
+    load_chunk(simd_mode_, p_, box_, h_, positions, c0, n, true, c);
+    if (p_ == 6) {
+      gather_chunk<6>(grid, maps, p_, width, h_, c, charges, c0, n, forces, phi_out,
+                      sum);
+    } else {
+      gather_chunk<0>(grid, maps, p_, width, h_, c, charges, c0, n, forces, phi_out,
+                      sum);
     }
   }
   return sum;

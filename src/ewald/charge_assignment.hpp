@@ -6,9 +6,11 @@
 //   F_i = -(q_i / h) sum_m Phi_m grad M_p(u_i - m)
 //
 // The same operator pair is used by SPME, B-spline MSM, and the TME; the
-// hardware fixes p = 6 but the software supports any even p >= 2.
+// hardware fixes p = 6 but the software supports any even p in
+// [2, kMaxBsplineOrder].
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -23,7 +25,13 @@ class ThreadPool;
 
 class ChargeAssigner {
  public:
+  // CA and BI evaluate the B-spline weights of this many atoms at a time
+  // into a stack buffer, then run the stencils from it.
+  static constexpr std::size_t kChunkAtoms = 64;
+
   // `dims` is the target grid; grid spacing is box.lengths / dims per axis.
+  // Throws std::invalid_argument unless `order` is even and in
+  // [2, kMaxBsplineOrder] (spline/bspline.hpp), or when the grid is empty.
   ChargeAssigner(const Box& box, GridDims dims, int order);
 
   int order() const { return p_; }

@@ -94,7 +94,7 @@ void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
 
 Grid3d convolve_axis_block(const ExtendedBlock& halo, long ox, long oy, long oz,
                            const GridDims& out_dims, const Kernel1d& kernel,
-                           ConvAxis axis) {
+                           ConvAxis axis, const BlockConvStencil* prebuilt) {
   check_kernel(kernel);
   const AxisMaps maps = halo.maps();
   const int a = static_cast<int>(axis);
@@ -105,11 +105,24 @@ Grid3d convolve_axis_block(const ExtendedBlock& halo, long ox, long oy, long oz,
       throw std::invalid_argument("convolve_axis_block: halo must match the block off-axis");
     }
   }
+  const bool reuse = prebuilt != nullptr && prebuilt->n_out == extent[a] &&
+                     origin[a] - maps[a].origin == prebuilt->reach &&
+                     maps[a].extent == extent[a] + 2 * static_cast<std::size_t>(
+                                                           prebuilt->reach);
+  AxisStencil built;
+  if (!reuse) built = conv_stencil(maps[a], origin[a], extent[a], kernel);
   Grid3d out(out_dims);
   axis_pass(halo.data.data(), halo.dims(), out.data(), out_dims, a,
-            conv_stencil(maps[a], origin[a], extent[a], kernel), simd::mode_from_env(),
-            nullptr);
+            reuse ? prebuilt->stencil : built, simd::mode_from_env(), nullptr);
   return out;
+}
+
+BlockConvStencil conv_block_stencil(const Kernel1d& kernel, std::size_t n_out,
+                                    long reach) {
+  check_kernel(kernel);
+  // Block-relative coordinates: the block starts at 0, its halo at -reach.
+  const AxisMap halo{-reach, n_out + 2 * static_cast<std::size_t>(reach), 0};
+  return {n_out, reach, conv_stencil(halo, 0, n_out, kernel)};
 }
 
 Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,

@@ -40,13 +40,32 @@ void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
 void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
                    Grid3d& out, simd::Mode mode);
 
+// The convolution stencil along one axis of every block of n_out outputs
+// whose halo starts `reach` cells before the block and holds n_out + 2 reach
+// cells (one node block of a decomposed level).
+struct BlockConvStencil {
+  std::size_t n_out = 0;
+  long reach = 0;
+  AxisStencil stencil;
+};
+
+// Builds it for `kernel`.  Throws std::invalid_argument when `reach` does
+// not cover the kernel's taps.
+BlockConvStencil conv_block_stencil(const Kernel1d& kernel, std::size_t n_out,
+                                    long reach);
+
 // Block form for one node (pool-free): the output block `out_dims` at global
 // origin (ox, oy, oz), reading a halo that extends the block along `axis`
 // only.  Each element equals convolve_axis's on the whole grid bitwise.
 // Throws std::invalid_argument when the halo does not cover the taps.
+//
+// `prebuilt`, when not null, is conv_block_stencil(kernel, ...) for this
+// axis: used as is when the block and halo have its geometry, so a caller
+// that runs many node blocks of one level builds their stencil once.  The
+// stencil is built from `kernel` otherwise.
 Grid3d convolve_axis_block(const ExtendedBlock& halo, long ox, long oy, long oz,
                            const GridDims& out_dims, const Kernel1d& kernel,
-                           ConvAxis axis);
+                           ConvAxis axis, const BlockConvStencil* prebuilt = nullptr);
 
 // Full separable pass: z(y(x(in))) with per-axis kernels.
 Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,

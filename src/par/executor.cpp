@@ -41,8 +41,13 @@ Grid3d execute_grid_task(const PipelineContext& ctx, const GridBlockTask& task) 
       }
       const SeparableTerm& t = ctx.kernels[level_idx][task.term];
       const Kernel1d& k = task.axis == 0 ? t.kx : (task.axis == 1 ? t.ky : t.kz);
+      const BlockConvStencil* s =
+          level_idx < ctx.conv_stencils.size() &&
+                  task.term < ctx.conv_stencils[level_idx].size()
+              ? &ctx.conv_stencils[level_idx][task.term][static_cast<std::size_t>(task.axis)]
+              : nullptr;
       return convolve_axis_block(task.halo, task.ox, task.oy, task.oz,
-                                 task.out_dims, k, static_cast<ConvAxis>(task.axis));
+                                 task.out_dims, k, static_cast<ConvAxis>(task.axis), s);
     }
   }
   throw std::invalid_argument("execute_grid_task: unknown task kind");

@@ -13,6 +13,7 @@
 // which process — ran them.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -34,6 +35,11 @@ struct PipelineContext {
   GridDims fine_global;
   // kernels[l - 1] holds level l's separable terms (levels 1 .. L).
   std::vector<std::vector<SeparableTerm>> kernels;
+  // conv_stencils[l - 1][term][axis]: that kernel's stencil for the node
+  // blocks of ParallelTme's decomposition, built once per ParallelTme
+  // (empty where the halo cannot cover the kernel).  Not shipped to
+  // workers: a decoded context has none, and its tasks build their own.
+  std::vector<std::vector<std::array<BlockConvStencil, 3>>> conv_stencils;
 };
 
 // One per-node unit of grid work: the output block `out_dims` at global

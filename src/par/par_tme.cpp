@@ -246,6 +246,24 @@ ParallelTme::ParallelTme(const Box& box, const TmeParams& params,
   ctx_.fine_global = tme_.level_dims(1);
   for (int l = 1; l <= params.levels; ++l) {
     ctx_.kernels.push_back(tme_.level_kernels(l));
+    // The level convolution's node blocks all share one stencil per (term,
+    // axis): the block is the decomposition's local extent, its halo reaches
+    // min(g_c, period) cells either side (see compute).
+    const GridDecomposition& d = level_decomp_[static_cast<std::size_t>(l - 1)];
+    const std::size_t local[3] = {d.local().nx, d.local().ny, d.local().nz};
+    const std::size_t period[3] = {d.global().nx, d.global().ny, d.global().nz};
+    auto& level = ctx_.conv_stencils.emplace_back(ctx_.kernels.back().size());
+    for (std::size_t term = 0; term < level.size(); ++term) {
+      const SeparableTerm& t = ctx_.kernels.back()[term];
+      const Kernel1d* k[3] = {&t.kx, &t.ky, &t.kz};
+      for (int axis = 0; axis < 3; ++axis) {
+        const long reach = std::min<long>(params.grid_cutoff,
+                                          static_cast<long>(period[axis]));
+        if (reach < k[axis]->cutoff) continue;  // compute's task throws
+        level[term][static_cast<std::size_t>(axis)] =
+            conv_block_stencil(*k[axis], local[axis], reach);
+      }
+    }
   }
   serial_exec_ = std::make_unique<SerialExecutor>(ctx_);
 }

@@ -72,8 +72,11 @@ inline std::ostream& operator<<(std::ostream& os, const Vec3& v) {
   return os << '(' << v.x << ", " << v.y << ", " << v.z << ')';
 }
 
-// Wrap `x` into [0, box) — periodic boundary for a single coordinate.
+// Wrap `x` into [0, box) — periodic boundary for a single coordinate.  A
+// coordinate already in range is returned as is, which is exactly what fmod
+// gives for it, without the library call.
 inline double wrap_coord(double x, double box) {
+  if (x >= 0.0 && x < box) return x;
   x = std::fmod(x, box);
   return x < 0.0 ? x + box : x;
 }

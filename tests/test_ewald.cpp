@@ -1,16 +1,24 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/tme.hpp"
+#include "core/tuning.hpp"
 #include "ewald/charge_assignment.hpp"
 #include "ewald/greens_function.hpp"
 #include "ewald/reference_ewald.hpp"
 #include "ewald/splitting.hpp"
 #include "ewald/spme.hpp"
+#include "md/water_box.hpp"
+#include "pinned_hash.hpp"
+#include "spline/bspline.hpp"
 #include "util/constants.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tme {
 namespace {
@@ -245,6 +253,170 @@ TEST(ChargeAssignment, BlockFormsRejectAtomsOutsideTheSleeve) {
   EXPECT_THROW(ca.assign_block(block, pos, q), std::logic_error);
   EXPECT_THROW((void)ca.back_interpolate_block(block, pos, q, nullptr),
                std::logic_error);
+}
+
+TEST(ChargeAssignment, RejectsOddOrAboveCapacityOrderAtConstruction) {
+  const Box box{{4.0, 4.0, 4.0}};
+  const GridDims dims{16, 16, 16};
+  for (const int bad : {0, 1, 3, 5, 7, kMaxBsplineOrder + 1, kMaxBsplineOrder + 2}) {
+    EXPECT_THROW(ChargeAssigner(box, dims, bad), std::invalid_argument) << bad;
+  }
+  for (const int good : {2, 4, 6, kMaxBsplineOrder}) {
+    EXPECT_NO_THROW(ChargeAssigner(box, dims, good)) << good;
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// CA as a plain loop over atoms: per-atom scalar weights, each grid cell
+// updated by one fma per atom in atom order — the order the chunked,
+// vector-evaluated spread must reproduce bit for bit.
+Grid3d reference_spread(const Box& box, const GridDims& dims, int p,
+                        const std::vector<Vec3>& pos, const std::vector<double>& q) {
+  Grid3d grid(dims);
+  const Vec3 h{box.lengths.x / static_cast<double>(dims.nx),
+               box.lengths.y / static_cast<double>(dims.ny),
+               box.lengths.z / static_cast<double>(dims.nz)};
+  const std::size_t up = static_cast<std::size_t>(p);
+  std::vector<double> wx(up), wy(up), wz(up);
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    const Vec3 u = hadamard_div(box.wrap(pos[i]), h);
+    const long mx = bspline_weights_central(p, u.x, wx, {});
+    const long my = bspline_weights_central(p, u.y, wy, {});
+    const long mz = bspline_weights_central(p, u.z, wz, {});
+    for (std::size_t kz = 0; kz < up; ++kz) {
+      const double qz = q[i] * wz[kz];
+      for (std::size_t ky = 0; ky < up; ++ky) {
+        const double qyz = qz * wy[ky];
+        for (std::size_t kx = 0; kx < up; ++kx) {
+          double& cell = grid.at_wrapped(mx + static_cast<long>(kx),
+                                         my + static_cast<long>(ky),
+                                         mz + static_cast<long>(kz));
+          cell = simd::fma1(qyz, wx[kx], cell);
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+// Atom counts around the vector width and the chunk size, with coordinates
+// on grid points, at 0 and just below the period: the chunked CA equals the
+// per-atom reference, and each atom's BI potential and force equal those of
+// a call with that atom alone — in the compile-time (p = 6) and run-time
+// (p = 4, 8) bodies under both SIMD modes.
+TEST(ChargeAssignment, ChunkedSplinesMatchPerAtomEvaluation) {
+  const Box box{{4.0, 4.0, 4.0}};
+  const GridDims dims{16, 16, 16};
+  constexpr std::size_t W = simd::kNativeWidth;
+  constexpr std::size_t kChunk = ChargeAssigner::kChunkAtoms;
+  const TestSystem sys = random_system(kChunk + 1, 4.0, 31);
+  std::vector<Vec3> all = sys.positions;
+  all[0] = {0.0, 0.0, 0.0};
+  all[1] = {0.25 * 3, 0.25 * 7, 0.25 * 15};  // grid points (h = 0.25)
+  all[2] = {std::nextafter(4.0, 0.0), 2.0, std::nextafter(4.0, 0.0)};
+  all[kChunk - 1] = {1.0, std::nextafter(4.0, 0.0), 0.0};
+  const Grid3d phi = random_grid(dims, 37);
+  ThreadPool serial(0);
+  for (const int p : {4, 6, 8}) {
+    for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kNative}) {
+      ChargeAssigner ca(box, dims, p);
+      ca.set_simd_mode(mode);
+      for (const std::size_t n : {std::size_t{1}, W - 1, W, W + 1, kChunk - 1, kChunk,
+                                  kChunk + 1}) {
+        SCOPED_TRACE(::testing::Message() << "p=" << p << " n=" << n << " lanes="
+                                          << simd::lanes(mode));
+        const std::vector<Vec3> pos(all.begin(), all.begin() + static_cast<long>(n));
+        const std::vector<double> q(sys.charges.begin(),
+                                    sys.charges.begin() + static_cast<long>(n));
+        const Grid3d got = ca.assign(pos, q, &serial);
+        const Grid3d want = reference_spread(box, dims, p, pos, q);
+        for (std::size_t g = 0; g < got.size(); ++g) {
+          ASSERT_TRUE(same_bits(got[g], want[g])) << "cell " << g;
+        }
+        std::vector<Vec3> forces(n);
+        std::vector<double> phis;
+        ca.back_interpolate(phi, pos, q, &forces, &phis);
+        for (std::size_t i = 0; i < n; ++i) {
+          std::vector<Vec3> one_force(1);
+          std::vector<double> one_phi;
+          ca.back_interpolate(phi, {&pos[i], 1}, {&q[i], 1}, &one_force, &one_phi);
+          ASSERT_TRUE(same_bits(phis[i], one_phi[0])) << "atom " << i;
+          for (int k = 0; k < 3; ++k) {
+            ASSERT_TRUE(same_bits(forces[i][k], one_force[0][k])) << "atom " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A blown-up atom in the middle of a chunk still poisons the CA grid, and in
+// BI only that atom gets a NaN: every other atom's potential and force are
+// the bits of a run where it is finite.
+TEST(ChargeAssignment, NanAtomMidChunkPoisonsGridAndOnlyItsForce) {
+  const TestSystem sys = random_system(100, 4.0, 41);
+  const ChargeAssigner ca(sys.box, {16, 16, 16}, 6);
+  constexpr std::size_t kBad = 37;
+  std::vector<Vec3> pos = sys.positions;
+  pos[kBad].y = std::numeric_limits<double>::quiet_NaN();
+  const Grid3d grid = ca.assign(pos, sys.charges);
+  bool poisoned = false;
+  for (std::size_t g = 0; g < grid.size(); ++g) poisoned |= std::isnan(grid[g]);
+  EXPECT_TRUE(poisoned);
+
+  const Grid3d phi = random_grid(ca.dims(), 43);
+  std::vector<Vec3> f_bad(pos.size()), f_good(pos.size());
+  std::vector<double> phi_bad, phi_good;
+  const double e_bad = ca.back_interpolate(phi, pos, sys.charges, &f_bad, &phi_bad);
+  ca.back_interpolate(phi, sys.positions, sys.charges, &f_good, &phi_good);
+  EXPECT_TRUE(std::isnan(e_bad));
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    if (i == kBad) {
+      EXPECT_TRUE(std::isnan(phi_bad[i]));
+      for (int k = 0; k < 3; ++k) EXPECT_TRUE(std::isnan(f_bad[i][k]));
+      continue;
+    }
+    ASSERT_TRUE(same_bits(phi_bad[i], phi_good[i])) << i;
+    for (int k = 0; k < 3; ++k) ASSERT_TRUE(same_bits(f_bad[i][k], f_good[i][k])) << i;
+  }
+}
+
+// Forces and energy of Tme::compute and Spme::compute on the stepbench water
+// box (3,620 TIP3P molecules, seed 1, tuned for r_c = 0.6 nm: 32^3, p = 6),
+// pinned bit for bit under both TME_SIMD modes.  Each compute runs inside a
+// one-thread parallel region, so every pool split in it is serial and the
+// bits do not depend on the machine's thread count.
+TEST(SolverBitwise, StepbenchBoxMatchesPinnedHash) {
+  const auto tme_pin = tme_test::pinned_for_this_build(
+      {0x61a1956fff9252eeULL, 0x372cd8bf83e2c0baULL});
+  const auto spme_pin = tme_test::pinned_for_this_build(
+      {0x5bf82875aa4e250bULL, 0x3fa272517f615254ULL});
+  if (!tme_pin || !spme_pin) GTEST_SKIP() << "no pinned value for this build or SIMD width";
+  WaterBoxSpec spec;
+  spec.molecules = 3620;
+  spec.seed = 1;
+  const WaterBox wb = build_water_box(spec);
+  TmeTuningRequest request;
+  request.r_cut = 0.6;
+  request.rtol = 1e-4;
+  const TmeParams tp = tune_tme(wb.system.box, request).params;
+  SpmeParams sp;
+  sp.order = tp.order;
+  sp.grid = tp.grid;
+  sp.alpha = tp.alpha;
+  const Tme tme(wb.system.box, tp);
+  const Spme spme(wb.system.box, sp);
+  CoulombResult rt, rs;
+  ThreadPool serial(0);
+  parallel_for(serial, 0, 1, [&](std::size_t) {
+    rt = tme.compute(wb.system.positions, wb.system.charges);
+    rs = spme.compute(wb.system.positions, wb.system.charges);
+  });
+  const std::uint64_t ht = tme_test::result_hash(rt, {rt.energy});
+  const std::uint64_t hs = tme_test::result_hash(rs, {rs.energy});
+  EXPECT_EQ(ht, *tme_pin) << std::hex << "Tme 0x" << ht;
+  EXPECT_EQ(hs, *spme_pin) << std::hex << "Spme 0x" << hs;
 }
 
 TEST(GreensFunction, EulerFactorsPositiveForEvenOrders) {

@@ -22,6 +22,7 @@
 #include "par/par_tme.hpp"
 #include "grid/separable_conv.hpp"
 #include "par/traffic.hpp"
+#include "pinned_hash.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -61,57 +62,9 @@ TmeParams default_params(double alpha) {
   return tp;
 }
 
-// FNV-1a over the bytes of a result's forces and the given energies: a
-// bitwise fingerprint, so a pinned value catches any change in summation
-// order.
-std::uint64_t result_hash(const CoulombResult& r, std::initializer_list<double> energies) {
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](double v) {
-    unsigned char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
-    for (const unsigned char b : bytes) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const Vec3& f : r.forces) {
-    mix(f.x);
-    mix(f.y);
-    mix(f.z);
-  }
-  for (const double e : energies) mix(e);
-  return h;
-}
-
-// A pinned fingerprint per kernel instantiation.  Back-interpolation's native
-// gather reassociates its sums (the documented relaxation of the SIMD parity
-// contract, util/simd.hpp), so scalar and native mode have their own bits;
-// values are pinned for FMA builds at 1 lane (scalar) and 8 lanes (AVX-512).
-// They hold for the default Release build only: C++ code is compiled with
-// the compiler's default floating-point contraction, so another optimisation
-// level or sanitizer instrumentation fuses the top-level SPME solve
-// differently and moves its bits.
-struct PinnedHash {
-  std::uint64_t scalar, native8;
-};
-
-std::optional<std::uint64_t> pinned_for_this_build(const PinnedHash& p) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return std::nullopt;
-#endif
-  if (!simd::kFmaFused ||
-      obs::manifest_json().at("build_type").as_string() != "Release") {
-    return std::nullopt;
-  }
-  switch (simd::lanes(simd::mode_from_env())) {
-    case 1:
-      return p.scalar;
-    case 8:
-      return p.native8;
-    default:
-      return std::nullopt;
-  }
-}
+using tme_test::PinnedHash;
+using tme_test::pinned_for_this_build;
+using tme_test::result_hash;
 
 // --- decomposition -----------------------------------------------------------
 

@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +11,7 @@
 #include "spline/bspline.hpp"
 #include "spline/interpolation_coeffs.hpp"
 #include "spline/two_scale.hpp"
+#include "util/simd.hpp"
 
 namespace tme {
 namespace {
@@ -111,6 +115,68 @@ TEST_P(BSplineOrderSweep, WeightsMatchPointEvaluations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, BSplineOrderSweep, ::testing::Values(2, 4, 6, 8, 10));
+
+// The batched kernel: n coordinates evaluated W at a time (the tail through
+// the W = 1 twin, as charge assignment does), at W = native and at W = 1,
+// give bitwise the base index, weights and derivatives of
+// bspline_weights_central per coordinate.  Covers integer u, u = 0 and u
+// just below a 32-cell period, and counts around the vector width and the
+// 64-atom chunk.
+class BSplineLanesSweep : public ::testing::TestWithParam<int> {};
+
+template <int W>
+void eval_lanes(int p, const std::vector<double>& u, std::vector<long>& m0,
+                std::vector<double>& w, std::vector<double>& d) {
+  const std::size_t n = u.size(), up = static_cast<std::size_t>(p);
+  m0.assign(n, 0);
+  w.assign(n * up, 0.0);
+  d.assign(n * up, 0.0);
+  std::size_t a = 0;
+  for (; a + W <= n; a += W) {
+    bspline_weights_lanes<W>(p, &u[a], &m0[a], &w[a * up], &d[a * up], up);
+  }
+  for (; a < n; ++a) {
+    bspline_weights_lanes<1>(p, &u[a], &m0[a], &w[a * up], &d[a * up], up);
+  }
+}
+
+TEST_P(BSplineLanesSweep, BatchedKernelIsBitwiseTheScalarWeights) {
+  const int p = GetParam();
+  const std::size_t up = static_cast<std::size_t>(p);
+  constexpr std::size_t W = simd::kNativeWidth;
+  std::vector<double> pool = {0.0, 1.0, 7.0, 31.0, std::nextafter(32.0, 0.0), 16.5};
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> dist(0.0, 32.0);
+  while (pool.size() < 65) pool.push_back(dist(rng));
+  for (const std::size_t n : {std::size_t{1}, W - 1, W, W + 1, std::size_t{63},
+                              std::size_t{64}, std::size_t{65}}) {
+    const std::vector<double> u(pool.begin(), pool.begin() + static_cast<long>(n));
+    std::vector<long> m_native, m_one;
+    std::vector<double> w_native, d_native, w_one, d_one;
+    eval_lanes<W>(p, u, m_native, w_native, d_native);
+    eval_lanes<1>(p, u, m_one, w_one, d_one);
+    std::vector<double> w(up), d(up);
+    for (std::size_t i = 0; i < n; ++i) {
+      const long m0 = bspline_weights_central(p, u[i], w, d);
+      EXPECT_EQ(m_native[i] + p / 2, m0) << "n=" << n << " u=" << u[i];
+      EXPECT_EQ(m_one[i] + p / 2, m0) << "n=" << n << " u=" << u[i];
+      const std::size_t bytes = up * sizeof(double);
+      EXPECT_EQ(std::memcmp(&w_native[i * up], w.data(), bytes), 0) << "u=" << u[i];
+      EXPECT_EQ(std::memcmp(&d_native[i * up], d.data(), bytes), 0) << "u=" << u[i];
+      EXPECT_EQ(std::memcmp(&w_one[i * up], w.data(), bytes), 0) << "u=" << u[i];
+      EXPECT_EQ(std::memcmp(&d_one[i * up], d.data(), bytes), 0) << "u=" << u[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, BSplineLanesSweep, ::testing::Values(2, 4, 6, 8));
+
+TEST(BSpline, RejectsOrdersAboveCapacity) {
+  std::vector<double> w(kMaxBsplineOrder + 2);
+  EXPECT_THROW(bspline(kMaxBsplineOrder + 1, 1.0), std::invalid_argument);
+  EXPECT_THROW(bspline_weights(kMaxBsplineOrder + 1, 1.0, w, {}), std::invalid_argument);
+  EXPECT_NO_THROW(bspline_weights(kMaxBsplineOrder, 1.0, w, {}));
+}
 
 TEST(BSplineCentral, SupportAndPeak) {
   EXPECT_EQ(bspline_central(6, -3.0), 0.0);
