@@ -1,5 +1,7 @@
 #include "md/integrator.hpp"
 
+#include "util/parallel.hpp"
+
 namespace tme {
 
 VelocityVerlet::VelocityVerlet(const Topology& topology,
@@ -21,12 +23,14 @@ StepReport VelocityVerlet::step(ParticleSystem& system, const Topology& topology
   const double dt = params_.dt;
   const std::size_t n = system.size();
 
-  // Phase 1: half kick + drift (paper's first INTEGRATE phase).
+  // Phase 1: half kick + drift (paper's first INTEGRATE phase).  Every
+  // loop of the step writes only its own atoms, so the bits do not depend
+  // on the pool size.
   std::vector<Vec3> previous = system.positions;
-  for (std::size_t i = 0; i < n; ++i) {
+  parallel_for(0, n, [&](std::size_t i) {
     system.velocities[i] += (0.5 * dt / system.masses[i]) * system.forces[i];
     system.positions[i] += dt * system.velocities[i];
-  }
+  });
   // Constrain positions; fold the correction into the velocities.
   constraints_.apply_positions(system.box, previous, system.positions,
                                &system.velocities, dt, params_.constraint_method);
@@ -35,10 +39,11 @@ StepReport VelocityVerlet::step(ParticleSystem& system, const Topology& topology
   StepReport report;
   report.energies = ff.evaluate(system, topology);
 
-  // Phase 3: second half kick + velocity constraint (RATTLE projection).
-  for (std::size_t i = 0; i < n; ++i) {
+  // Phase 3: second half kick + velocity constraint (SETTLE's closed-form
+  // velocity half).
+  parallel_for(0, n, [&](std::size_t i) {
     system.velocities[i] += (0.5 * dt / system.masses[i]) * system.forces[i];
-  }
+  });
   constraints_.project_velocities(system.box, system.positions, system.velocities);
 
   report.kinetic = system.kinetic_energy();

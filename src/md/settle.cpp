@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/parallel.hpp"
+
 namespace tme {
 
 double ConstraintParams::d_hh() const {
@@ -40,7 +42,8 @@ void WaterConstraints::apply_positions(const Box& box, std::span<const Vec3> pre
                                        std::vector<Vec3>& positions,
                                        std::vector<Vec3>* velocities, double dt,
                                        ConstraintMethod method) const {
-  for (const Triplet& t : waters_) {
+  parallel_for(0, waters_.size(), [&](std::size_t w) {
+    const Triplet& t = waters_[w];
     const Vec3 before_o = positions[t.o];
     const Vec3 before_h1 = positions[t.h1];
     const Vec3 before_h2 = positions[t.h2];
@@ -54,7 +57,7 @@ void WaterConstraints::apply_positions(const Box& box, std::span<const Vec3> pre
       (*velocities)[t.h1] += (positions[t.h1] - before_h1) / dt;
       (*velocities)[t.h2] += (positions[t.h2] - before_h2) / dt;
     }
-  }
+  });
 }
 
 namespace {
@@ -196,44 +199,60 @@ void WaterConstraints::shake_one(const Box& box, const Triplet& t,
 void WaterConstraints::project_velocities(const Box& box,
                                           std::span<const Vec3> positions,
                                           std::vector<Vec3>& velocities) const {
-  for (const Triplet& t : waters_) {
-    const std::size_t idx[3] = {t.o, t.h1, t.h2};
-    const double inv_m[3] = {1.0 / m_o_, 1.0 / m_h_, 1.0 / m_h_};
-    const std::size_t pairs[3][2] = {{0, 1}, {0, 2}, {1, 2}};
-    // Iterative RATTLE projection; converges geometrically for a triangle.
-    for (int iter = 0; iter < params_.shake_max_iterations; ++iter) {
-      double worst = 0.0;
-      for (int c = 0; c < 3; ++c) {
-        const std::size_t i = idx[pairs[c][0]], j = idx[pairs[c][1]];
-        const Vec3 rij = box.min_image_disp(positions[i], positions[j]);
-        const Vec3 vij = velocities[i] - velocities[j];
-        const double r2 = norm2(rij);
-        const double k = dot(rij, vij) /
-                         (r2 * (inv_m[pairs[c][0]] + inv_m[pairs[c][1]]));
-        worst = std::max(worst, std::abs(dot(rij, vij)) / std::sqrt(r2));
-        velocities[i] -= (k * inv_m[pairs[c][0]]) * rij;
-        velocities[j] += (k * inv_m[pairs[c][1]]) * rij;
-      }
-      if (worst < params_.shake_tolerance) break;
-    }
-  }
+  const double inv_o = 1.0 / m_o_, inv_h = 1.0 / m_h_;
+  parallel_for(0, waters_.size(), [&](std::size_t w) {
+    const Triplet& t = waters_[w];
+    // Bonds c = (i, j): O-H1, O-H2, H1-H2, with r_c = x_i - x_j.
+    const Vec3 r0 = box.min_image_disp(positions[t.o], positions[t.h1]);
+    const Vec3 r1 = box.min_image_disp(positions[t.o], positions[t.h2]);
+    const Vec3 r2 = box.min_image_disp(positions[t.h1], positions[t.h2]);
+    Vec3& vo = velocities[t.o];
+    Vec3& vh1 = velocities[t.h1];
+    Vec3& vh2 = velocities[t.h2];
+    // Impulse lambda_c along r_c (v_i -= lambda_c r_c / m_i, v_j += lambda_c
+    // r_c / m_j) zeroes every bond rate r_c . (v_i - v_j) when
+    // A lambda = b, with A = J M^-1 J^T the bond-coupling matrix.
+    const double a00 = norm2(r0) * (inv_o + inv_h);
+    const double a11 = norm2(r1) * (inv_o + inv_h);
+    const double a22 = norm2(r2) * (2.0 * inv_h);
+    const double a01 = dot(r0, r1) * inv_o;
+    const double a02 = -dot(r0, r2) * inv_h;
+    const double a12 = dot(r1, r2) * inv_h;
+    const double b0 = dot(r0, vo - vh1);
+    const double b1 = dot(r1, vo - vh2);
+    const double b2 = dot(r2, vh1 - vh2);
+    // Symmetric adjugate solve.
+    const double c00 = a11 * a22 - a12 * a12;
+    const double c01 = a02 * a12 - a01 * a22;
+    const double c02 = a01 * a12 - a02 * a11;
+    const double c11 = a00 * a22 - a02 * a02;
+    const double c12 = a01 * a02 - a00 * a12;
+    const double c22 = a00 * a11 - a01 * a01;
+    const double inv_det = 1.0 / (a00 * c00 + a01 * c01 + a02 * c02);
+    const double l0 = (c00 * b0 + c01 * b1 + c02 * b2) * inv_det;
+    const double l1 = (c01 * b0 + c11 * b1 + c12 * b2) * inv_det;
+    const double l2 = (c02 * b0 + c12 * b1 + c22 * b2) * inv_det;
+    vo -= inv_o * (l0 * r0 + l1 * r1);
+    vh1 += inv_h * (l0 * r0 - l2 * r2);
+    vh2 += inv_h * (l1 * r1 + l2 * r2);
+  });
 }
 
 double WaterConstraints::max_violation(const Box& box,
                                        std::span<const Vec3> positions) const {
   double worst = 0.0;
+  // std::max would drop a NaN distance and report a broken geometry as
+  // satisfied; keep the NaN instead.
+  const auto track = [&](std::size_t i, std::size_t j, double target) {
+    const double d = std::abs(norm(box.min_image_disp(positions[i], positions[j])) - target);
+    if (d > worst || std::isnan(d)) worst = d;
+  };
   const double d_oh = params_.d_oh;
   const double d_hh = params_.d_hh();
   for (const Triplet& t : waters_) {
-    worst = std::max(worst, std::abs(norm(box.min_image_disp(positions[t.o],
-                                                             positions[t.h1])) -
-                                     d_oh));
-    worst = std::max(worst, std::abs(norm(box.min_image_disp(positions[t.o],
-                                                             positions[t.h2])) -
-                                     d_oh));
-    worst = std::max(worst, std::abs(norm(box.min_image_disp(positions[t.h1],
-                                                             positions[t.h2])) -
-                                     d_hh));
+    track(t.o, t.h1, d_oh);
+    track(t.o, t.h2, d_oh);
+    track(t.h1, t.h2, d_hh);
   }
   return worst;
 }

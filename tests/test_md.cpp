@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "md/topology.hpp"
 #include "md/water_box.hpp"
 #include "util/constants.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tme {
@@ -436,6 +438,13 @@ TEST_F(ConstraintTest, SettlePreservesMomentum) {
   }
 }
 
+TEST_F(ConstraintTest, MaxViolationReportsANonFiniteGeometry) {
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  std::vector<Vec3> pos = wb_.system.positions;
+  pos[wb_.topology.rigid_waters().front().h1].x = std::nan("");
+  EXPECT_TRUE(std::isnan(constraints.max_violation(wb_.system.box, pos)));
+}
+
 TEST_F(ConstraintTest, VelocityProjectionRemovesBondRates) {
   const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
   Rng rng(33);
@@ -448,10 +457,130 @@ TEST_F(ConstraintTest, VelocityProjectionRemovesBondRates) {
                                                      wb_.system.positions[j]);
       return std::abs(dot(rij, vel[i] - vel[j])) / norm(rij);
     };
-    EXPECT_LT(rate(w.o, w.h1), 1e-8);
-    EXPECT_LT(rate(w.o, w.h2), 1e-8);
-    EXPECT_LT(rate(w.h1, w.h2), 1e-8);
+    EXPECT_LT(rate(w.o, w.h1), 1e-12);
+    EXPECT_LT(rate(w.o, w.h2), 1e-12);
+    EXPECT_LT(rate(w.h1, w.h2), 1e-12);
   }
+}
+
+// The iterative Gauss-Seidel RATTLE velocity projection that the closed form
+// replaced, kept as its independent oracle: sweep the three bonds, removing
+// each bond's relative velocity in turn, until every rate is below 1e-13.
+void rattle_velocities(const Box& box, const Topology& topology,
+                       std::span<const double> masses, std::span<const Vec3> positions,
+                       std::vector<Vec3>& velocities) {
+  for (const RigidWater& w : topology.rigid_waters()) {
+    const std::size_t pairs[3][2] = {{w.o, w.h1}, {w.o, w.h2}, {w.h1, w.h2}};
+    for (int sweep = 0; sweep < 2000; ++sweep) {
+      double worst = 0.0;
+      for (const auto& [i, j] : pairs) {
+        const Vec3 rij = box.min_image_disp(positions[i], positions[j]);
+        const Vec3 vij = velocities[i] - velocities[j];
+        const double r2 = norm2(rij);
+        const double k = dot(rij, vij) / (r2 * (1.0 / masses[i] + 1.0 / masses[j]));
+        worst = std::max(worst, std::abs(dot(rij, vij)) / std::sqrt(r2));
+        velocities[i] -= (k / masses[i]) * rij;
+        velocities[j] += (k / masses[j]) * rij;
+      }
+      if (worst < 1e-13) break;
+    }
+  }
+}
+
+std::vector<Vec3> random_velocities(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec3> vel(n);
+  for (auto& v : vel) v = {rng.normal(), rng.normal(), rng.normal()};
+  return vel;
+}
+
+TEST_F(ConstraintTest, VelocityProjectionMatchesIterativeRattle) {
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  const ParticleSystem& sys = wb_.system;
+  std::vector<Vec3> closed = random_velocities(sys.size(), 34);
+  std::vector<Vec3> iterated = closed;
+  constraints.project_velocities(sys.box, sys.positions, closed);
+  rattle_velocities(sys.box, wb_.topology, sys.masses, sys.positions, iterated);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    worst = std::max(worst, norm(closed[i] - iterated[i]));
+  }
+  EXPECT_LT(worst, 1e-9);
+}
+
+TEST_F(ConstraintTest, VelocityProjectionPreservesEachWatersMomenta) {
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  const ParticleSystem& sys = wb_.system;
+  const std::vector<Vec3> before = random_velocities(sys.size(), 35);
+  std::vector<Vec3> after = before;
+  constraints.project_velocities(sys.box, sys.positions, after);
+  // Bond impulses are equal and opposite and act along the bonds, so neither
+  // the water's momentum nor its angular momentum (about its oxygen, on the
+  // unwrapped molecule) can change.
+  for (const RigidWater& w : wb_.topology.rigid_waters()) {
+    const std::size_t atoms[3] = {w.o, w.h1, w.h2};
+    Vec3 p0{}, p1{}, l0{}, l1{};
+    double scale = 0.0;
+    for (const std::size_t a : atoms) {
+      const Vec3 x = sys.box.min_image_disp(sys.positions[a], sys.positions[w.o]);
+      p0 += sys.masses[a] * before[a];
+      p1 += sys.masses[a] * after[a];
+      l0 += sys.masses[a] * cross(x, before[a]);
+      l1 += sys.masses[a] * cross(x, after[a]);
+      scale += sys.masses[a] * norm(before[a]);
+    }
+    EXPECT_LT(norm(p1 - p0), 1e-14 * scale);
+    EXPECT_LT(norm(l1 - l0), 1e-14 * scale * kTip3pBondOH);
+  }
+}
+
+TEST_F(ConstraintTest, SecondVelocityProjectionIsANoOp) {
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  const ParticleSystem& sys = wb_.system;
+  std::vector<Vec3> once = random_velocities(sys.size(), 36);
+  constraints.project_velocities(sys.box, sys.positions, once);
+  std::vector<Vec3> twice = once;
+  constraints.project_velocities(sys.box, sys.positions, twice);
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    EXPECT_LE(norm(twice[i] - once[i]), 1e-14 * norm(once[i])) << "atom " << i;
+  }
+}
+
+TEST_F(ConstraintTest, VelocityProjectionHandlesAWaterSplitByTheBoundary) {
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  const ParticleSystem& sys = wb_.system;
+  // Translate the box so a periodic face runs between the first water's
+  // oxygen and the hydrogen furthest from it along x, then wrap: that
+  // hydrogen lands on the far side of the box.
+  const RigidWater& w = wb_.topology.rigid_waters().front();
+  const Vec3 oh1 = sys.box.min_image_disp(sys.positions[w.h1], sys.positions[w.o]);
+  const Vec3 oh2 = sys.box.min_image_disp(sys.positions[w.h2], sys.positions[w.o]);
+  const double reach = std::abs(oh1.x) > std::abs(oh2.x) ? oh1.x : oh2.x;
+  const double face = reach > 0.0 ? sys.box.lengths.x : 0.0;
+  const Vec3 shift{face - 0.5 * reach - sys.positions[w.o].x, 0.0, 0.0};
+  std::vector<Vec3> whole(sys.size()), wrapped(sys.size());
+  for (std::size_t i = 0; i < sys.size(); ++i) whole[i] = sys.positions[i] + shift;
+  whole[w.h1] = whole[w.o] + oh1;
+  whole[w.h2] = whole[w.o] + oh2;
+  for (std::size_t i = 0; i < sys.size(); ++i) wrapped[i] = sys.box.wrap(whole[i]);
+  const double half = 0.5 * sys.box.lengths.x;
+  ASSERT_TRUE(std::abs(wrapped[w.h1].x - wrapped[w.o].x) > half ||
+              std::abs(wrapped[w.h2].x - wrapped[w.o].x) > half);
+
+  std::vector<Vec3> v_whole = random_velocities(sys.size(), 37);
+  std::vector<Vec3> v_wrapped = v_whole;
+  constraints.project_velocities(sys.box, whole, v_whole);
+  constraints.project_velocities(sys.box, wrapped, v_wrapped);
+  for (const std::size_t a : {w.o, w.h1, w.h2}) {
+    EXPECT_LT(norm(v_wrapped[a] - v_whole[a]), 1e-12) << "atom " << a;
+  }
+  const auto rate = [&](std::size_t i, std::size_t j) {
+    const Vec3 rij = sys.box.min_image_disp(wrapped[i], wrapped[j]);
+    return std::abs(dot(rij, v_wrapped[i] - v_wrapped[j])) / norm(rij);
+  };
+  EXPECT_LT(rate(w.o, w.h1), 1e-12);
+  EXPECT_LT(rate(w.o, w.h2), 1e-12);
+  EXPECT_LT(rate(w.h1, w.h2), 1e-12);
 }
 
 // --- NVE integration ----------------------------------------------------------
@@ -531,6 +660,70 @@ TEST(Integrator, SettleAndShakeGiveSameTrajectory) {
     worst = std::max(worst, norm(wb1.system.positions[i] - wb2.system.positions[i]));
   }
   EXPECT_LT(worst, 1e-5);
+}
+
+// Runs a solver in a one-block parallel region, where every nested
+// parallel_for is serial, so its bits do not depend on the pool size (the
+// mesh solvers' spreading and reductions do, to ~1e-12 relative).
+class SerialSolver final : public LongRangeSolver {
+ public:
+  explicit SerialSolver(std::unique_ptr<LongRangeSolver> inner)
+      : inner_(std::move(inner)) {}
+  CoulombResult compute(std::span<const Vec3> positions,
+                        std::span<const double> charges) const override {
+    CoulombResult out;
+    parallel_for_ranges(0, 1, [&](std::size_t, std::size_t) {
+      out = inner_->compute(positions, charges);
+    });
+    return out;
+  }
+  std::string name() const override { return inner_->name(); }
+  double alpha() const override { return inner_->alpha(); }
+  const Box& box() const override { return inner_->box(); }
+  obs::JsonValue describe() const override { return inner_->describe(); }
+
+ private:
+  std::unique_ptr<LongRangeSolver> inner_;
+};
+
+TEST(Integrator, StepBitsDoNotDependOnPoolSize) {
+  // A dilute gas of rigid waters, 1 nm apart with a 0.7 nm cutoff: no
+  // intermolecular pair comes within the cutoff over the run, so the
+  // short-range engine (whose per-batch force reduction depends on the pool
+  // size) adds exact zeros, and the long range runs serially.  Every force
+  // then has the same bits at any pool size; what is left to differ is the
+  // integrator: the kicks, SETTLE and the velocity constraint.
+  WaterBoxSpec spec;
+  spec.molecules = 27;
+  spec.box_length = 3.0;
+  const double r_cut = 0.7;
+  const double alpha = alpha_from_tolerance(r_cut, 1e-4);
+  ShortRangeParams sr;
+  sr.cutoff = r_cut;
+  sr.alpha = alpha;
+  const auto run = [&] {
+    WaterBox wb = build_water_box(spec);
+    SpmeParams sp;
+    sp.alpha = alpha;
+    sp.grid = {16, 16, 16};
+    const ForceField ff(
+        sr, std::make_unique<SerialSolver>(make_spme_solver(wb.system.box, sp)));
+    const VelocityVerlet integrator(wb.topology, wb.system, IntegratorParams{});
+    integrator.prime(wb.system, wb.topology, ff);
+    for (int s = 0; s < 20; ++s) integrator.step(wb.system, wb.topology, ff);
+    EXPECT_EQ(ff.short_range_engine().compute(wb.system, wb.topology).pair_count, 0u);
+    return wb.system;
+  };
+  ParticleSystem serial;
+  parallel_for_ranges(0, 1, [&](std::size_t, std::size_t) { serial = run(); });
+  const ParticleSystem pooled = run();
+  ASSERT_EQ(serial.size(), pooled.size());
+  EXPECT_EQ(std::memcmp(serial.positions.data(), pooled.positions.data(),
+                        serial.size() * sizeof(Vec3)),
+            0);
+  EXPECT_EQ(std::memcmp(serial.velocities.data(), pooled.velocities.data(),
+                        serial.size() * sizeof(Vec3)),
+            0);
 }
 
 TEST(Integrator, MomentumIsConservedApproximately) {
